@@ -44,6 +44,12 @@ fi
 echo "== cargo build --release --offline (all targets) =="
 cargo build --workspace --all-targets --release --offline
 
+echo "== cargo build --offline (all targets, debug profile) =="
+cargo build --workspace --all-targets --offline
+
+echo "== perfbench build (its own workspace: a library change that breaks the benchmark fails here) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q --offline =="
 cargo test --workspace -q --offline
 

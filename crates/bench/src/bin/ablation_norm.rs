@@ -6,8 +6,8 @@
 //!
 //! Run with `RTPED_QUICK=1` for a fast smoke version.
 
-use rtped_bench::parallel;
 use rtped_bench::ExperimentConfig;
+use rtped_core::par;
 use rtped_dataset::InriaProtocol;
 use rtped_eval::confusion::confusion_at_threshold;
 use rtped_eval::report::{float, Table};
@@ -53,7 +53,7 @@ fn main() {
             FeatureMap::extract(img, &params).window_descriptor(0, 0, &params)
         };
         let train: Vec<(&GrayImage, bool)> = dataset.labelled_train().collect();
-        let samples: Vec<(Vec<f32>, Label)> = parallel::map(&train, |(img, positive)| {
+        let samples: Vec<(Vec<f32>, Label)> = par::map(&train, |(img, positive)| {
             (
                 features(img),
                 if *positive {
@@ -73,7 +73,7 @@ fn main() {
             },
         );
         let test: Vec<(&GrayImage, bool)> = dataset.labelled_test().collect();
-        let scored: Vec<(f64, bool)> = parallel::map(&test, |(img, positive)| {
+        let scored: Vec<(f64, bool)> = par::map(&test, |(img, positive)| {
             (model.decision(&features(img)), *positive)
         });
         let cm = confusion_at_threshold(&scored, 0.0);

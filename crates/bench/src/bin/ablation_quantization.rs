@@ -57,7 +57,7 @@ fn main() {
     let test: Vec<(&rtped_image::GrayImage, bool)> = experiment.dataset().labelled_test().collect();
     for frac_bits in [4u32, 6, 8, 10, 12] {
         let q = quantize_weights(experiment.model(), frac_bits);
-        let scored: Vec<(f64, bool)> = rtped_bench::parallel::map(&test, |(img, positive)| {
+        let scored: Vec<(f64, bool)> = rtped_core::par::map(&test, |(img, positive)| {
             let d = window_features(img, &params);
             (q.decision(&d), *positive)
         });
@@ -71,7 +71,7 @@ fn main() {
 
     // 3. Full fixed-point hardware pipeline.
     let accelerator = HogAccelerator::new(experiment.model(), AcceleratorConfig::default());
-    let scored: Vec<(f64, bool)> = rtped_bench::parallel::map(&test, |(img, positive)| {
+    let scored: Vec<(f64, bool)> = rtped_core::par::map(&test, |(img, positive)| {
         let map = accelerator.extract_features(img).to_float();
         let d = map.window_descriptor(0, 0, &params);
         // Q4.12 weight quantization is what the engine applies.

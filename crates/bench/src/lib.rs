@@ -1,5 +1,5 @@
 //! Shared experiment harness for the table/figure regeneration binaries
-//! and the Criterion benches.
+//! (see `src/bin`).
 //!
 //! The paper's verification protocol (§4, Fig. 3) is:
 //!
@@ -17,11 +17,7 @@
 //! with the seeds fixed in [`ExperimentConfig::default`] so each table
 //! regenerates deterministically.
 
-/// The shared data-parallel primitives, re-exported under the name the
-/// harness binaries historically used (the module now lives in
-/// `rtped_core::par`).
-pub use rtped_core::par as parallel;
-
+use rtped_core::par;
 use rtped_dataset::protocol::{InriaProtocol, PAPER_TEST_NEGATIVES, PAPER_TEST_POSITIVES};
 use rtped_eval::confusion::{confusion_at_threshold, ConfusionMatrix};
 use rtped_hog::feature_map::FeatureMap;
@@ -155,7 +151,7 @@ impl Experiment {
             .expect("experiment configuration must be valid");
 
         let train: Vec<(&GrayImage, bool)> = dataset.labelled_train().collect();
-        let samples: Vec<(Vec<f32>, Label)> = parallel::map(&train, |(img, positive)| {
+        let samples: Vec<(Vec<f32>, Label)> = par::map(&train, |(img, positive)| {
             let descriptor = window_features(img, &params);
             let label = if *positive {
                 Label::Positive
@@ -203,7 +199,7 @@ impl Experiment {
     #[must_use]
     pub fn score_base(&self) -> Vec<(f64, bool)> {
         let test: Vec<(&GrayImage, bool)> = self.dataset.labelled_test().collect();
-        parallel::map(&test, |(img, positive)| {
+        par::map(&test, |(img, positive)| {
             let d = window_features(img, &self.params);
             (self.model.decision(&d), *positive)
         })
@@ -225,7 +221,7 @@ impl Experiment {
             .chain(neg.into_iter().map(|i| (i, false)))
             .collect();
         let refs: Vec<(&GrayImage, bool)> = labelled.iter().map(|(i, l)| (i, *l)).collect();
-        parallel::map(&refs, |(img, positive)| {
+        par::map(&refs, |(img, positive)| {
             let d = self.scaled_window_features(img, method);
             (self.model.decision(&d), *positive)
         })

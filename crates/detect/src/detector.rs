@@ -10,6 +10,7 @@
 //!   once, down-sample the normalized feature map per scale, classify.
 
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::Mutex;
 
@@ -27,10 +28,10 @@ use crate::kernel::{self, F32Kernel};
 use crate::nms::non_maximum_suppression;
 use crate::temporal::{self, PyramidCache, TemporalStats};
 
-/// Below this many windows per level, the scan runs serially: thread-pool
-/// hand-off costs more than the scoring itself (the 640×480 parallel
-/// regression in `BENCH_detect.json`).
-pub(crate) const PAR_MIN_WINDOWS: usize = 8192;
+/// Below this many windows per scan call, the scan runs serially:
+/// thread-pool hand-off costs more than the scoring itself (the 640×480
+/// parallel regression in `BENCH_detect.json`).
+const PAR_MIN_WINDOWS: usize = 8192;
 
 /// Which arithmetic the window-scoring hot path uses.
 ///
@@ -522,6 +523,68 @@ impl LevelGeometry {
     }
 }
 
+/// A pyramid level's features in the configured datapath's arithmetic —
+/// the plane the blocked kernels score.
+#[derive(Debug)]
+pub(crate) enum LevelPlane {
+    /// The f32 features widened to `f64` once (exact), so the blocked
+    /// kernel's inner loop carries no per-element convert.
+    F32(Vec<f64>),
+    /// Q12 `i16` features for the integer kernel.
+    I16(QuantFeatureMap),
+}
+
+impl LevelPlane {
+    /// Builds the plane for `features`: quantized when the level is scored
+    /// with the i16 model `quant`, widened to `f64` otherwise.
+    pub(crate) fn new(features: &FeatureMap, quant: Option<&QuantModel>) -> Self {
+        match quant {
+            Some(_) => LevelPlane::I16(features.quantized()),
+            None => LevelPlane::F32(kernel::to_f64(features)),
+        }
+    }
+
+    /// Rebuilds cell rows `rows` of the plane from `features`.
+    pub(crate) fn update_rows(&mut self, features: &FeatureMap, rows: Range<usize>) {
+        match self {
+            LevelPlane::F32(raw64) => kernel::update_rows_f64(raw64, features, rows),
+            LevelPlane::I16(qmap) => features.quantize_rows_into(qmap, rows),
+        }
+    }
+
+    /// Binds the plane (with `features`' geometry) to its model as a row
+    /// scorer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an i16 plane is bound without the quantized model it was
+    /// built for.
+    pub(crate) fn scorer<'a>(
+        &'a self,
+        features: &FeatureMap,
+        geom: &LevelGeometry,
+        model: &'a LinearSvm,
+        quant: Option<&'a QuantModel>,
+    ) -> RowScorer<'a> {
+        match self {
+            LevelPlane::F32(raw64) => RowScorer::F32(F32Kernel::new(
+                raw64,
+                features.cells().0,
+                features.cell_features(),
+                geom.wc,
+                geom.hc,
+                model,
+            )),
+            LevelPlane::I16(qmap) => RowScorer::I16 {
+                qmap,
+                model: quant.expect("an i16 plane is only built for a quantized model"),
+                wc: geom.wc,
+                hc: geom.hc,
+            },
+        }
+    }
+}
+
 /// A bound per-level scorer for one datapath: scores a whole window row
 /// per call through the blocked kernels.
 pub(crate) enum RowScorer<'a> {
@@ -539,12 +602,7 @@ pub(crate) enum RowScorer<'a> {
 impl RowScorer<'_> {
     /// Scores window-row `ry`, returning its above-threshold detections in
     /// column order (the serial raster order within the row).
-    pub(crate) fn row_hits(
-        &self,
-        geom: &LevelGeometry,
-        threshold: f64,
-        ry: usize,
-    ) -> Vec<Detection> {
+    fn row_hits(&self, geom: &LevelGeometry, threshold: f64, ry: usize) -> Vec<Detection> {
         let cy = ry * geom.stride;
         let mut scores = vec![0.0f64; geom.cols];
         match self {
@@ -594,25 +652,24 @@ impl RowScorer<'_> {
     }
 }
 
-/// Scores every window row of a level, returning one hit list per window
-/// row (row order). Rows are fanned across cores in contiguous bands —
-/// each row's result is independent, so the per-row lists are identical
-/// for any thread count — with a serial short-circuit for small levels.
+/// Scores the window rows `rows` of a level, returning one hit list per
+/// listed row (in `rows` order). Rows are fanned across cores in
+/// contiguous bands — each row's result is independent, so the per-row
+/// lists are identical for any thread count — with a serial short-circuit
+/// below [`PAR_MIN_WINDOWS`] windows.
 pub(crate) fn scan_level_rows(
     scorer: &RowScorer<'_>,
     geom: &LevelGeometry,
     threshold: f64,
+    rows: &[usize],
 ) -> Vec<Vec<Detection>> {
-    if geom.rows * geom.cols < PAR_MIN_WINDOWS {
-        return (0..geom.rows)
-            .map(|ry| scorer.row_hits(geom, threshold, ry))
-            .collect();
+    let row_hits = |&ry: &usize| scorer.row_hits(geom, threshold, ry);
+    if rows.len() * geom.cols < PAR_MIN_WINDOWS {
+        return rows.iter().map(row_hits).collect();
     }
-    let bands = par::band_ranges(geom.rows, par::threads() * 4);
+    let bands = par::band_ranges(rows.len(), par::threads() * 4);
     let per_band = par::map(&bands, |band| {
-        band.clone()
-            .map(|ry| scorer.row_hits(geom, threshold, ry))
-            .collect::<Vec<_>>()
+        rows[band.clone()].iter().map(row_hits).collect::<Vec<_>>()
     });
     per_band.into_iter().flatten().collect()
 }
@@ -631,26 +688,10 @@ fn scan_level(
     let Some(geom) = LevelGeometry::for_level(level.features.cells(), level.scale, config) else {
         return;
     };
-    let (gx, _) = level.features.cells();
-    let f = level.features.cell_features();
-    let per_row = match quant {
-        Some(qm) => {
-            let qmap = level.features.quantized();
-            let scorer = RowScorer::I16 {
-                qmap: &qmap,
-                model: qm,
-                wc: geom.wc,
-                hc: geom.hc,
-            };
-            scan_level_rows(&scorer, &geom, config.threshold)
-        }
-        None => {
-            let raw64 = kernel::to_f64(&level.features);
-            let scorer = RowScorer::F32(F32Kernel::new(&raw64, gx, f, geom.wc, geom.hc, model));
-            scan_level_rows(&scorer, &geom, config.threshold)
-        }
-    };
-    for hits in per_row {
+    let plane = LevelPlane::new(&level.features, quant);
+    let scorer = plane.scorer(&level.features, &geom, model, quant);
+    let rows: Vec<usize> = (0..geom.rows).collect();
+    for hits in scan_level_rows(&scorer, &geom, config.threshold, &rows) {
         out.extend(hits);
     }
 }

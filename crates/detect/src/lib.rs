@@ -5,8 +5,6 @@
 //! assistance system (DAS) needs around them:
 //!
 //! - [`bbox`]: bounding boxes and IoU.
-//! - [`window`]: sliding-window iteration over feature maps (one-cell
-//!   stride, exactly the hardware's window schedule).
 //! - [`detector`]: the [`detector::Detect`] trait with
 //!   [`detector::ImagePyramidDetector`] (conventional, Fig. 3a) and
 //!   [`detector::FeaturePyramidDetector`] (the paper's method, Fig. 3b).
@@ -37,12 +35,9 @@ pub mod das;
 pub mod detector;
 pub mod evaluate;
 pub mod kernel;
-pub mod mining;
-pub mod multimodel;
 pub mod nms;
 pub mod temporal;
 pub mod tracker;
-pub mod window;
 
 pub use bbox::BoundingBox;
 pub use detector::{

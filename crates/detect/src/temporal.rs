@@ -26,13 +26,11 @@ use std::ops::Range;
 
 use rtped_hog::feature_map::FeatureMap;
 use rtped_hog::grid::CellGrid;
-use rtped_hog::quant::QuantFeatureMap;
+use rtped_hog::pyramid::{FeaturePyramid, PyramidLevel};
 use rtped_image::GrayImage;
 use rtped_svm::{LinearSvm, QuantModel};
 
-use crate::detector::{
-    scan_level_rows, Detection, DetectorConfig, LevelGeometry, RowScorer, PAR_MIN_WINDOWS,
-};
+use crate::detector::{scan_level_rows, Detection, DetectorConfig, LevelGeometry, LevelPlane};
 use crate::nms::non_maximum_suppression;
 
 /// Counters describing how the temporal cache served its frames.
@@ -49,19 +47,34 @@ pub struct TemporalStats {
     pub unchanged: u64,
 }
 
-/// One cached pyramid level: its features, the datapath-specific scoring
-/// plane derived from them, and the pre-NMS hits of every window row.
+/// One cached pyramid level: its features, the datapath plane derived
+/// from them, and the pre-NMS hits of every window row.
 #[derive(Debug)]
 struct CachedLevel {
-    scale: f64,
-    features: FeatureMap,
-    /// Preconverted f64 plane (f32 datapath only).
-    raw64: Option<Vec<f64>>,
-    /// Quantized plane (i16 datapath only).
-    qmap: Option<QuantFeatureMap>,
-    geom: Option<LevelGeometry>,
-    /// Pre-NMS detections per window row (empty when `geom` is `None`).
+    level: PyramidLevel,
+    plane: LevelPlane,
+    geom: LevelGeometry,
+    /// Pre-NMS detections per window row.
     row_hits: Vec<Vec<Detection>>,
+}
+
+impl CachedLevel {
+    /// Rescores window rows `rows` from the current plane.
+    fn rescan(
+        &mut self,
+        model: &LinearSvm,
+        quant: Option<&QuantModel>,
+        config: &DetectorConfig,
+        rows: &[usize],
+    ) {
+        let scorer = self
+            .plane
+            .scorer(&self.level.features, &self.geom, model, quant);
+        let fresh = scan_level_rows(&scorer, &self.geom, config.threshold, rows);
+        for (&ry, hits) in rows.iter().zip(fresh) {
+            self.row_hits[ry] = hits;
+        }
+    }
 }
 
 /// The temporal state of one `FeaturePyramidDetector`: the last frame and
@@ -115,8 +128,8 @@ pub(crate) fn detect(
     }
     let mut out = Vec::new();
     if let Some(cache) = slot.as_ref() {
-        for level in &cache.levels {
-            for hits in &level.row_hits {
+        for cached in &cache.levels {
+            for hits in &cached.row_hits {
                 out.extend_from_slice(hits);
             }
         }
@@ -128,9 +141,13 @@ pub(crate) fn detect(
 }
 
 /// Builds the full cache for `frame` — the cold path, also used on scene
-/// cuts. Level construction mirrors `FeaturePyramid::from_base` exactly
-/// (same rounding, same skip rule, same `scale ≈ 1` clone) so the cached
-/// pyramid is the one the stateless detector would build.
+/// cuts. Each level is `FeaturePyramid::level`, the rule
+/// `FeaturePyramid::from_base` maps over the scales, so the cached pyramid
+/// is the one the stateless detector builds. Unlike `from_base`, the
+/// levels are built on the calling thread: the cache keeps them across
+/// frames, and buffers allocated on short-lived worker threads stay in
+/// their per-thread malloc arenas — built in parallel, they doubled the
+/// benchmark's peak RSS on a parked camera.
 fn build(
     frame: &GrayImage,
     model: &LinearSvm,
@@ -140,33 +157,21 @@ fn build(
     let params = &config.params;
     let grid = CellGrid::compute(frame, params);
     let base = FeatureMap::from_cell_grid(&grid, params);
-    let (bx, by) = base.cells();
-    let (wc, hc) = params.window_cells();
     let levels = config
         .scales
         .iter()
         .filter_map(|&scale| {
-            let nx = ((bx as f64 / scale).round() as usize).max(1);
-            let ny = ((by as f64 / scale).round() as usize).max(1);
-            if nx < wc || ny < hc {
-                return None;
-            }
-            let features = if (scale - 1.0).abs() < 1e-9 {
-                base.clone()
-            } else {
-                base.scaled_to(nx, ny)
+            let level = FeaturePyramid::level(&base, scale, params)?;
+            let geom = LevelGeometry::for_level(level.features.cells(), level.scale, config)?;
+            let mut cached = CachedLevel {
+                plane: LevelPlane::new(&level.features, quant),
+                level,
+                row_hits: vec![Vec::new(); geom.rows],
+                geom,
             };
-            let mut level = CachedLevel {
-                scale,
-                features,
-                raw64: None,
-                qmap: None,
-                geom: LevelGeometry::for_level((nx, ny), scale, config),
-                row_hits: Vec::new(),
-            };
-            refresh_plane(&mut level, quant.is_some(), None);
-            rescan(&mut level, model, quant, config, None);
-            Some(level)
+            let rows: Vec<usize> = (0..cached.geom.rows).collect();
+            cached.rescan(model, quant, config, &rows);
+            Some(cached)
         })
         .collect();
     PyramidCache {
@@ -175,71 +180,6 @@ fn build(
         base,
         levels,
         stats: TemporalStats::default(),
-    }
-}
-
-/// Rebuilds a level's datapath plane — wholly (`rows == None`) or for the
-/// given cell-row range.
-fn refresh_plane(level: &mut CachedLevel, quantized: bool, rows: Option<Range<usize>>) {
-    let (_, cy) = level.features.cells();
-    let rows = rows.unwrap_or(0..cy);
-    if quantized {
-        let qmap = level.qmap.get_or_insert_with(|| {
-            let (nx, ny) = level.features.cells();
-            QuantFeatureMap::new(nx, ny, level.features.bins())
-        });
-        level.features.quantize_rows_into(qmap, rows);
-    } else {
-        let raw64 = level
-            .raw64
-            .get_or_insert_with(|| vec![0.0f64; level.features.as_raw().len()]);
-        crate::kernel::update_rows_f64(raw64, &level.features, rows);
-    }
-}
-
-/// Rescans a level's window rows — all of them (`dirty == None`, banded
-/// like the stateless scan) or exactly the listed dirty rows.
-fn rescan(
-    level: &mut CachedLevel,
-    model: &LinearSvm,
-    quant: Option<&QuantModel>,
-    config: &DetectorConfig,
-    dirty: Option<&[usize]>,
-) {
-    let Some(geom) = level.geom.clone() else {
-        level.row_hits.clear();
-        return;
-    };
-    let (gx, _) = level.features.cells();
-    let f = level.features.cell_features();
-    let scorer = match (quant, &level.qmap, &level.raw64) {
-        (Some(qm), Some(qmap), _) => RowScorer::I16 {
-            qmap,
-            model: qm,
-            wc: geom.wc,
-            hc: geom.hc,
-        },
-        (None, _, Some(raw64)) => RowScorer::F32(crate::kernel::F32Kernel::new(
-            raw64, gx, f, geom.wc, geom.hc, model,
-        )),
-        // refresh_plane always ran first; this arm is unreachable.
-        _ => return,
-    };
-    match dirty {
-        None => level.row_hits = scan_level_rows(&scorer, &geom, config.threshold),
-        Some(rys) => {
-            if rys.len() * geom.cols < PAR_MIN_WINDOWS {
-                for &ry in rys {
-                    level.row_hits[ry] = scorer.row_hits(&geom, config.threshold, ry);
-                }
-            } else {
-                let fresh =
-                    rtped_core::par::map(rys, |&ry| scorer.row_hits(&geom, config.threshold, ry));
-                for (&ry, hits) in rys.iter().zip(fresh) {
-                    level.row_hits[ry] = hits;
-                }
-            }
-        }
     }
 }
 
@@ -329,10 +269,12 @@ fn update(
     }
 
     // Base rows → each level's rows → that level's window rows.
-    for level in &mut cache.levels {
-        let (_, ny) = level.features.cells();
+    for cached in &mut cache.levels {
+        let features = &mut cached.level.features;
+        let (_, ny) = features.cells();
         let mut dirty_level = vec![false; ny];
-        if (level.scale - 1.0).abs() < 1e-9 {
+        if features.cells() == cache.base.cells() {
+            // Identity level: a copy of the base, row for row.
             dirty_level.copy_from_slice(&dirty_base);
         } else {
             for (oy, d) in dirty_level.iter_mut().enumerate() {
@@ -347,14 +289,12 @@ fn update(
             continue;
         }
         for r in &level_runs {
-            cache.base.scaled_rows_into(&mut level.features, r.clone());
-            refresh_plane(level, quant.is_some(), Some(r.clone()));
+            cache.base.scaled_rows_into(features, r.clone());
+            cached.plane.update_rows(features, r.clone());
         }
-        let Some(geom) = level.geom.clone() else {
-            continue;
-        };
         // Level rows → window rows: ry covers level rows
         // [ry*stride, ry*stride + hc).
+        let geom = &cached.geom;
         let mut dirty_ry = vec![false; geom.rows];
         for r in &level_runs {
             // Window rows whose span intersects [r.start, r.end).
@@ -371,7 +311,7 @@ fn update(
             .enumerate()
             .filter_map(|(ry, &d)| d.then_some(ry))
             .collect();
-        rescan(level, model, quant, config, Some(&rys));
+        cached.rescan(model, quant, config, &rys);
     }
     cache.frame = frame.clone();
 }

@@ -7,8 +7,6 @@
 //! - [`confusion`]: TP/TN/FP/FN counts and the derived rates.
 //! - [`roc`]: ROC curves from raw decision scores, trapezoidal AUC, and
 //!   the equal-error rate.
-//! - [`det`]: miss-rate vs. false-positives-per-window (the Dalal–Triggs
-//!   evaluation, used for the extended analyses).
 //! - [`report`]: fixed-width text tables used by every harness binary.
 //!
 //! # Example
@@ -25,7 +23,6 @@
 
 pub mod bootstrap;
 pub mod confusion;
-pub mod det;
 pub mod report;
 pub mod roc;
 

@@ -18,24 +18,6 @@ use rtped_image::GrayImage;
 use crate::feature_map::FeatureMap;
 use crate::params::HogParams;
 
-/// A geometric ladder of scale factors `start * step^i`, capped so the
-/// detection window still fits the scaled scene.
-///
-/// # Example
-///
-/// ```
-/// use rtped_hog::pyramid::scale_ladder;
-///
-/// let scales = scale_ladder(1.0, 1.2, 4);
-/// assert_eq!(scales.len(), 4);
-/// assert!((scales[1] - 1.2).abs() < 1e-9);
-/// ```
-#[must_use]
-pub fn scale_ladder(start: f64, step: f64, levels: usize) -> Vec<f64> {
-    assert!(start > 0.0 && step > 1.0, "need start > 0 and step > 1");
-    (0..levels).map(|i| start * step.powi(i as i32)).collect()
-}
-
 /// One level of a pyramid: the scale factor (relative to the native image)
 /// and that level's feature map.
 #[derive(Debug, Clone)]
@@ -124,87 +106,46 @@ impl FeaturePyramid {
         Self::from_base(&base, scales, params)
     }
 
-    /// Builds the pyramid *cascaded*, exactly like the hardware of
-    /// Fig. 6: level `i` is resampled from level `i-1`'s features, not
-    /// from the base ("a series of pipelined down-scaling modules which
-    /// resize the HOG feature of prior scale"). Cascading lets each
-    /// hardware scaler be small, at the cost of compounding
-    /// interpolation error at deep levels — the `pyramid_cascade` test
-    /// and the ablation bench quantify the difference against
-    /// [`FeaturePyramid::from_base`].
-    ///
-    /// `scales` must be sorted ascending with the first equal to 1.0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales` is empty, unsorted, or does not start at 1.0.
-    #[must_use]
-    pub fn build_cascaded(img: &GrayImage, scales: &[f64], params: &HogParams) -> Self {
-        assert!(!scales.is_empty(), "need at least one scale");
-        assert!(
-            (scales[0] - 1.0).abs() < 1e-9,
-            "cascaded pyramid must start at scale 1.0"
-        );
-        assert!(
-            scales.windows(2).all(|w| w[1] > w[0]),
-            "cascaded scales must be strictly ascending"
-        );
-        let base = FeatureMap::extract(img, params);
-        let (wc, hc) = params.window_cells();
-        let (bx, by) = base.cells();
-        let mut levels: Vec<PyramidLevel> = Vec::with_capacity(scales.len());
-        let mut prev = base.clone();
-        let mut prev_scale = 1.0f64;
-        for &scale in scales {
-            let nx = ((bx as f64 / scale).round() as usize).max(1);
-            let ny = ((by as f64 / scale).round() as usize).max(1);
-            if nx < wc || ny < hc {
-                break; // deeper levels are even smaller
-            }
-            let features = if (scale - prev_scale).abs() < 1e-9 {
-                prev.clone()
-            } else {
-                // Resample the *previous* level to this level's grid.
-                prev.scaled_to(nx, ny)
-            };
-            prev = features.clone();
-            prev_scale = scale;
-            levels.push(PyramidLevel { scale, features });
-        }
-        Self { levels }
-    }
-
     /// Builds the pyramid from an existing base feature map (exposed so
     /// the hardware model and detectors can share the extraction).
     ///
-    /// Levels are down-sampled from the base in parallel and collected in
-    /// input-scale order — byte-identical to a serial build.
+    /// Levels ([`FeaturePyramid::level`] per scale) are down-sampled from
+    /// the base in parallel and collected in input-scale order —
+    /// byte-identical to a serial build.
     ///
     /// # Panics
     ///
     /// Panics if `scales` contains a non-positive value.
     #[must_use]
     pub fn from_base(base: &FeatureMap, scales: &[f64], params: &HogParams) -> Self {
+        let levels = par::map(scales, |&scale| Self::level(base, scale, params))
+            .into_iter()
+            .flatten()
+            .collect();
+        Self { levels }
+    }
+
+    /// One level of the pyramid over `base`: the base resampled to
+    /// `round(cells / scale)` (a copy when that is the base's own grid),
+    /// or `None` when the level cannot hold one detection window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is not positive.
+    #[must_use]
+    pub fn level(base: &FeatureMap, scale: f64, params: &HogParams) -> Option<PyramidLevel> {
+        assert!(scale > 0.0, "scales must be positive");
         let (wc, hc) = params.window_cells();
         let (bx, by) = base.cells();
-        let levels = par::map(scales, |&scale| {
-            assert!(scale > 0.0, "scales must be positive");
-            let nx = ((bx as f64 / scale).round() as usize).max(1);
-            let ny = ((by as f64 / scale).round() as usize).max(1);
-            if nx < wc || ny < hc {
-                return None;
-            }
-            let features = if (scale - 1.0).abs() < 1e-9 {
-                base.clone()
-            } else {
-                base.scaled_to(nx, ny)
-            };
-            Some(PyramidLevel { scale, features })
+        let nx = ((bx as f64 / scale).round() as usize).max(1);
+        let ny = ((by as f64 / scale).round() as usize).max(1);
+        if nx < wc || ny < hc {
+            return None;
+        }
+        Some(PyramidLevel {
+            scale,
+            features: base.scaled_to(nx, ny),
         })
-        .into_iter()
-        .flatten()
-        .collect();
-        Self { levels }
     }
 
     /// The levels actually built.
@@ -225,19 +166,6 @@ mod tests {
 
     fn textured(w: usize, h: usize) -> GrayImage {
         GrayImage::from_fn(w, h, |x, y| ((x * 11 + y * 23 + (x * y) % 29) % 256) as u8)
-    }
-
-    #[test]
-    fn scale_ladder_is_geometric() {
-        let s = scale_ladder(1.0, 1.5, 3);
-        assert_eq!(s.len(), 3);
-        assert!((s[2] - 2.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "need start > 0 and step > 1")]
-    fn scale_ladder_rejects_bad_step() {
-        let _ = scale_ladder(1.0, 1.0, 3);
     }
 
     #[test]
@@ -313,56 +241,6 @@ mod tests {
         for (level, &expected) in fp.levels().iter().zip(&scales) {
             assert!((level.scale - expected).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn cascaded_pyramid_matches_direct_at_shallow_levels() {
-        let p = HogParams::pedestrian();
-        let img = textured(256, 512);
-        let scales = [1.0, 1.25, 1.5625];
-        let direct = FeaturePyramid::build(&img, &scales, &p);
-        let cascaded = FeaturePyramid::build_cascaded(&img, &scales, &p);
-        assert_eq!(direct.levels().len(), cascaded.levels().len());
-        // Level 0 identical; level 1 identical (one resample either way).
-        assert_eq!(direct.levels()[0].features, cascaded.levels()[0].features);
-        assert_eq!(direct.levels()[1].features, cascaded.levels()[1].features);
-        // Level 2: cascade resamples twice -> close but not identical.
-        let a = direct.levels()[2].features.as_raw();
-        let b = cascaded.levels()[2].features.as_raw();
-        let mad: f32 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f32>() / a.len() as f32;
-        let mean: f32 = a.iter().map(|v| v.abs()).sum::<f32>() / a.len() as f32;
-        assert!(mad > 0.0, "cascade should differ at depth 2");
-        assert!(
-            mad < 0.3 * mean,
-            "cascade error too large: mad {mad} vs mean {mean}"
-        );
-    }
-
-    #[test]
-    fn cascaded_pyramid_grid_sizes_match_direct() {
-        let p = HogParams::pedestrian();
-        let img = textured(320, 512);
-        let scales = [1.0, 1.3, 1.69, 2.197];
-        let direct = FeaturePyramid::build(&img, &scales, &p);
-        let cascaded = FeaturePyramid::build_cascaded(&img, &scales, &p);
-        for (d, c) in direct.levels().iter().zip(cascaded.levels()) {
-            assert_eq!(d.features.cells(), c.features.cells());
-            assert!((d.scale - c.scale).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must start at scale 1.0")]
-    fn cascaded_requires_unit_first_scale() {
-        let p = HogParams::pedestrian();
-        let _ = FeaturePyramid::build_cascaded(&textured(128, 256), &[1.5], &p);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn cascaded_requires_sorted_scales() {
-        let p = HogParams::pedestrian();
-        let _ = FeaturePyramid::build_cascaded(&textured(128, 256), &[1.0, 1.5, 1.2], &p);
     }
 
     #[test]

@@ -2,13 +2,21 @@
 //!
 //! Nodes are workspace-relative file paths (exactly the paths
 //! [`crate::walk`] yields); a directed edge `A -> B` means "code in `A`
-//! names module `B`" — via a `use` declaration, a `mod child;`
-//! declaration, or a fully-qualified path head (`rtped_core::env::typed`).
-//! Resolution is deliberately file-granular and conservative:
+//! names module `B`" — via a `use` declaration (`pub use` re-exports
+//! included), a `mod child;` declaration, or a qualified path head in code
+//! (`rtped_core::env::typed`, `crate::kernel::to_f64`, `walk::files`).
+//! Each edge records its [`EdgeKind`], so rules that must not count `mod`
+//! declarations as uses can tell them apart. Resolution is deliberately
+//! file-granular and conservative:
 //!
 //! - `use rtped_core::json::Json` resolves to `crates/core/src/json.rs`
 //!   when that file exists, else to the crate root `lib.rs`;
 //! - `use crate::scan::...` and `use super::...` resolve within the crate;
+//! - a path whose head is a child module of the current file
+//!   (`pub use detector::Detect;` in a `lib.rs`) resolves to that child;
+//! - a facade re-export `pub use rtped_detect as detect;` in a crate root
+//!   makes `rtped::detect::temporal` resolve to
+//!   `crates/detect/src/temporal.rs`;
 //! - `mod child;` resolves to the child file (`child.rs` or
 //!   `child/mod.rs`), and inline `mod child { ... }` adds no edge;
 //! - paths that resolve to nothing in the walked file set (std,
@@ -22,29 +30,42 @@
 //!
 //! The graph is the substrate for the cross-cutting rules: determinism
 //! taint propagates along reversed edges (users of a tainted module are
-//! tainted), and "reaches canonical-report code" is plain forward
-//! reachability. Both only need file-level precision, which is why this
-//! walker resolves paths two segments deep and no further.
+//! tainted), "reaches canonical-report code" is plain forward
+//! reachability, and [`crate::reach`] walks `use` edges from the
+//! workspace's entry points. All three only need file-level precision,
+//! which is why this walker resolves a path to its module file and no
+//! deeper.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::lexer::{LexKind, LexToken};
 
+/// How an edge was declared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum EdgeKind {
+    /// A `use` declaration (re-exports included) or a qualified path.
+    Use,
+    /// A `mod child;` declaration.
+    Mod,
+}
+
 /// One resolved use/mod edge.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Edge {
     /// Workspace-relative path of the file the edge points to.
     pub to: String,
-    /// 1-based line of the `use`/`mod` declaration that created it.
+    /// 1-based line of the declaration or path that created it.
     pub line: usize,
+    /// Whether a `use`/path or a `mod` declaration created it.
+    pub kind: EdgeKind,
 }
 
 /// The module graph over one walked file set.
 #[derive(Debug, Clone, Default)]
 pub struct ModuleGraph {
-    /// Outgoing edges per file (sorted, deduplicated by target keeping the
-    /// first declaration line).
+    /// Outgoing edges per file, sorted by target then line (one entry per
+    /// distinct declaration site).
     pub edges: BTreeMap<String, Vec<Edge>>,
     /// Crate-name (identifier form) → crate-root source dir, e.g.
     /// `rtped_core` → `crates/core/src`.
@@ -147,14 +168,20 @@ pub fn build(
     crate_table: &BTreeMap<String, String>,
     files: &BTreeMap<String, Vec<LexToken>>,
 ) -> ModuleGraph {
-    let file_set: BTreeSet<&str> = files.keys().map(String::as_str).collect();
+    let resolver = Resolver {
+        crate_table,
+        aliases: facade_aliases(crate_table, files),
+        files: files.keys().map(String::as_str).collect(),
+    };
     let mut graph = ModuleGraph {
         crate_roots: crate_table.clone(),
         ..ModuleGraph::default()
     };
     for (rel, toks) in files {
         let mut edges: Vec<Edge> = Vec::new();
-        let mut seen: BTreeSet<String> = BTreeSet::new();
+        let mut push = |to: String, line: usize, kind: EdgeKind| {
+            edges.push(Edge { to, line, kind });
+        };
         let mut i = 0;
         while i < toks.len() {
             let t = &toks[i];
@@ -164,11 +191,9 @@ pub fn build(
             }
             match t.text.as_str() {
                 "use" => {
-                    let (targets, next) = resolve_use(rel, toks, i + 1, crate_table, &file_set);
+                    let (targets, next) = resolver.resolve_use(rel, toks, i + 1);
                     for to in targets {
-                        if seen.insert(to.clone()) {
-                            edges.push(Edge { to, line: t.line });
-                        }
+                        push(to, t.line, EdgeKind::Use);
                     }
                     i = next;
                 }
@@ -176,33 +201,23 @@ pub fn build(
                     // `mod child;` declares a file edge; `mod child {`
                     // is inline and adds none.
                     let name = toks.get(i + 1).filter(|n| n.kind == LexKind::Ident);
-                    let semi = toks.get(i + 2).map(|p| p.is_punct(";")).unwrap_or(false);
+                    let semi = toks.get(i + 2).is_some_and(|p| p.is_punct(";"));
                     if let (Some(name), true) = (name, semi) {
-                        if let Some(to) = resolve_child_module(rel, &name.text, &file_set) {
-                            if seen.insert(to.clone()) {
-                                edges.push(Edge { to, line: t.line });
-                            }
+                        if let Some(to) = resolver.child_module(rel, &name.text) {
+                            push(to, t.line, EdgeKind::Mod);
                         }
                     }
                     i += 1;
                 }
                 _ => {
-                    // Fully-qualified path head in expression position:
-                    // `rtped_core::env::typed(...)`.
-                    if crate_table.contains_key(&t.text)
-                        && toks.get(i + 1).map(|p| p.is_punct("::")).unwrap_or(false)
-                    {
-                        let second = toks.get(i + 2).filter(|s| s.kind == LexKind::Ident);
-                        let to = resolve_crate_path(
-                            &t.text,
-                            second.map(|s| s.text.as_str()),
-                            crate_table,
-                            &file_set,
-                        );
-                        if let Some(to) = to {
-                            if seen.insert(to.clone()) {
-                                edges.push(Edge { to, line: t.line });
-                            }
+                    // Qualified path head in code: `rtped_core::env::typed`,
+                    // `crate::kernel::to_f64`, `walk::files`. Only heads
+                    // count: a segment after `::` is part of a longer path.
+                    let is_head = i == 0 || !toks[i - 1].is_punct("::");
+                    if is_head && toks.get(i + 1).is_some_and(|p| p.is_punct("::")) {
+                        let segs = path_segments(toks, i);
+                        if let Some(to) = resolver.resolve(rel, &segs) {
+                            push(to, t.line, EdgeKind::Use);
                         }
                     }
                     i += 1;
@@ -210,165 +225,203 @@ pub fn build(
             }
         }
         edges.sort();
+        edges.dedup();
         graph.edges.insert(rel.clone(), edges);
     }
     graph
 }
 
-/// Resolves the path (or brace group of paths) after a `use` keyword.
-/// Returns the resolved targets and the token index one past the
-/// declaration's `;` (or wherever scanning stopped on malformed input).
-fn resolve_use(
-    rel: &str,
-    toks: &[LexToken],
-    start: usize,
-    crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-) -> (Vec<String>, usize) {
-    // Collect the declaration's tokens up to the terminating `;`.
-    let mut end = start;
-    let mut depth = 0usize;
-    while end < toks.len() {
-        if toks[end].is_punct("{") {
-            depth += 1;
-        } else if toks[end].is_punct("}") {
-            depth = depth.saturating_sub(1);
-        } else if toks[end].is_punct(";") && depth == 0 {
-            break;
-        }
-        end += 1;
+/// The identifiers of the `a::b::c` path starting at token `i` (up to the
+/// three segments resolution can use).
+fn path_segments(toks: &[LexToken], mut i: usize) -> Vec<&str> {
+    let mut segs = vec![toks[i].text.as_str()];
+    while segs.len() < 3
+        && toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
+        && toks.get(i + 2).is_some_and(|s| s.kind == LexKind::Ident)
+    {
+        segs.push(toks[i + 2].text.as_str());
+        i += 2;
     }
-    let decl = &toks[start..end.min(toks.len())];
-    let mut targets = Vec::new();
-    let mut i = 0;
-    while i < decl.len() {
-        let next = use_tree(rel, decl, i, &[], crate_table, files, &mut targets);
-        i = next.max(i + 1);
-    }
-    targets.sort();
-    targets.dedup();
-    (targets, end + 1)
+    segs
 }
 
-/// Recursively walks one use-tree starting at `i` with the path segments
-/// accumulated so far, resolving every leaf path (and group prefix)
-/// against the walked file set. Returns the index one past the subtree.
-fn use_tree(
-    rel: &str,
-    decl: &[LexToken],
-    mut i: usize,
-    prefix: &[String],
+/// Facade re-exports: `(facade crate, alias) → crate`, read from
+/// `pub use rtped_detect as detect;` items in every crate root.
+fn facade_aliases(
     crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-    out: &mut Vec<String>,
-) -> usize {
-    let mut segs: Vec<String> = prefix.to_vec();
-    while i < decl.len() {
-        let t = &decl[i];
-        if t.is_punct(",") || t.is_punct("}") {
-            break; // end of this subtree; the group loop consumes it
-        }
-        if t.is_punct("{") {
-            // Group: each comma-separated child extends the current
-            // prefix (`use a::{b, c::d};`).
-            i += 1;
-            while i < decl.len() && !decl[i].is_punct("}") {
-                if decl[i].is_punct(",") {
-                    i += 1;
-                    continue;
-                }
-                let next = use_tree(rel, decl, i, &segs, crate_table, files, out);
-                i = next.max(i + 1);
-            }
-            resolve_segments(rel, &segs, crate_table, files, out);
-            return i + 1;
-        }
-        if t.is_ident("as") {
-            i += 2; // rename: `as alias`
+    files: &BTreeMap<String, Vec<LexToken>>,
+) -> BTreeMap<(String, String), String> {
+    let mut out = BTreeMap::new();
+    for (facade, dir) in crate_table {
+        let Some(toks) = files.get(&format!("{dir}/lib.rs")) else {
             continue;
+        };
+        for w in toks.windows(5) {
+            if w[0].is_ident("use")
+                && crate_table.contains_key(&w[1].text)
+                && w[2].is_ident("as")
+                && w[3].kind == LexKind::Ident
+                && w[4].is_punct(";")
+            {
+                out.insert((facade.clone(), w[3].text.clone()), w[1].text.clone());
+            }
         }
-        if t.kind == LexKind::Ident {
-            segs.push(t.text.clone());
-        }
-        i += 1;
     }
-    resolve_segments(rel, &segs, crate_table, files, out);
-    i
+    out
 }
 
-/// Resolves an accumulated segment path (first two segments decide the
-/// file) and records the target, if any.
-fn resolve_segments(
-    rel: &str,
-    segs: &[String],
-    crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-    out: &mut Vec<String>,
-) {
-    let Some(head) = segs.first() else { return };
-    let second = segs.get(1).map(String::as_str);
-    if let Some(to) = resolve_head(rel, head, second, crate_table, files) {
-        out.push(to);
-    }
+/// Path resolution against one walked file set.
+struct Resolver<'a> {
+    crate_table: &'a BTreeMap<String, String>,
+    aliases: BTreeMap<(String, String), String>,
+    files: BTreeSet<&'a str>,
 }
 
-/// Resolves one path head (`rtped_core`, `crate`, `super`, `self`) plus
-/// its optional second segment to a file in the walked set.
-fn resolve_head(
-    rel: &str,
-    head: &str,
-    second: Option<&str>,
-    crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-) -> Option<String> {
-    match head {
-        "crate" => {
-            let src_root = own_crate_root(rel)?;
-            resolve_in_dir(&src_root, second, files)
+impl Resolver<'_> {
+    /// Resolves the path (or brace group of paths) after a `use` keyword.
+    /// Returns the resolved targets and the token index one past the
+    /// declaration's `;` (or wherever scanning stopped on malformed input).
+    fn resolve_use(&self, rel: &str, toks: &[LexToken], start: usize) -> (Vec<String>, usize) {
+        // Collect the declaration's tokens up to the terminating `;`.
+        let mut end = start;
+        let mut depth = 0usize;
+        while end < toks.len() {
+            if toks[end].is_punct("{") {
+                depth += 1;
+            } else if toks[end].is_punct("}") {
+                depth = depth.saturating_sub(1);
+            } else if toks[end].is_punct(";") && depth == 0 {
+                break;
+            }
+            end += 1;
         }
-        "self" | "super" => {
-            // Sibling module of the current file's directory (for `super`
-            // in a child module this approximates to the same directory,
-            // which is file-exact for the flat module trees this
-            // workspace uses).
-            let dir = rel.rsplit_once('/').map(|(d, _)| d.to_string())?;
-            resolve_in_dir(&dir, second, files)
+        let decl = &toks[start..end.min(toks.len())];
+        let mut targets = Vec::new();
+        let mut i = 0;
+        while i < decl.len() {
+            let next = self.use_tree(rel, decl, i, &[], &mut targets);
+            i = next.max(i + 1);
         }
-        _ => resolve_crate_path(head, second, crate_table, files),
+        targets.sort();
+        targets.dedup();
+        (targets, end + 1)
     }
-}
 
-/// Resolves `crate_name::second` to a file.
-fn resolve_crate_path(
-    crate_name: &str,
-    second: Option<&str>,
-    crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-) -> Option<String> {
-    let src_root = crate_table.get(crate_name)?;
-    resolve_in_dir(src_root, second, files)
-}
+    /// Recursively walks one use-tree starting at `i` with the path
+    /// segments accumulated so far, resolving every leaf path (and group
+    /// prefix) against the walked file set. Returns the index one past
+    /// the subtree.
+    fn use_tree(
+        &self,
+        rel: &str,
+        decl: &[LexToken],
+        mut i: usize,
+        prefix: &[String],
+        out: &mut Vec<String>,
+    ) -> usize {
+        let mut segs: Vec<String> = prefix.to_vec();
+        while i < decl.len() {
+            let t = &decl[i];
+            if t.is_punct(",") || t.is_punct("}") {
+                break; // end of this subtree; the group loop consumes it
+            }
+            if t.is_punct("{") {
+                // Group: each comma-separated child extends the current
+                // prefix (`use a::{b, c::d};`).
+                i += 1;
+                while i < decl.len() && !decl[i].is_punct("}") {
+                    if decl[i].is_punct(",") {
+                        i += 1;
+                        continue;
+                    }
+                    let next = self.use_tree(rel, decl, i, &segs, out);
+                    i = next.max(i + 1);
+                }
+                self.push_resolved(rel, &segs, out);
+                return i + 1;
+            }
+            if t.is_ident("as") {
+                i += 2; // rename: `as alias`
+                continue;
+            }
+            if t.kind == LexKind::Ident {
+                segs.push(t.text.clone());
+            }
+            i += 1;
+        }
+        self.push_resolved(rel, &segs, out);
+        i
+    }
 
-/// Resolves an optional module name within a source dir: the module file
-/// when present, else the dir's `lib.rs`/`main.rs`/`mod.rs`.
-fn resolve_in_dir(dir: &str, second: Option<&str>, files: &BTreeSet<&str>) -> Option<String> {
-    if let Some(name) = second {
-        let as_file = format!("{dir}/{name}.rs");
-        if files.contains(as_file.as_str()) {
-            return Some(as_file);
-        }
-        let as_dir = format!("{dir}/{name}/mod.rs");
-        if files.contains(as_dir.as_str()) {
-            return Some(as_dir);
+    fn push_resolved(&self, rel: &str, segs: &[String], out: &mut Vec<String>) {
+        let segs: Vec<&str> = segs.iter().map(String::as_str).collect();
+        if let Some(to) = self.resolve(rel, &segs) {
+            out.push(to);
         }
     }
-    for root in ["lib.rs", "main.rs", "mod.rs"] {
-        let candidate = format!("{dir}/{root}");
-        if files.contains(candidate.as_str()) {
-            return Some(candidate);
+
+    /// Resolves a path (`head::second::third...`) used in `rel` to the
+    /// module file it names: the head picks the crate (or the current
+    /// crate / module), the next segment the module file.
+    fn resolve(&self, rel: &str, segs: &[&str]) -> Option<String> {
+        let (&head, rest) = segs.split_first()?;
+        let second = rest.first().copied();
+        match head {
+            "crate" => self.in_dir(&own_crate_root(rel)?, second),
+            "self" | "super" => {
+                // Sibling module of the current file's directory (for
+                // `super` in a child module this approximates to the same
+                // directory, which is file-exact for the flat module trees
+                // this workspace uses).
+                let dir = rel.rsplit_once('/').map(|(d, _)| d.to_string())?;
+                self.in_dir(&dir, second)
+            }
+            _ if self.crate_table.contains_key(head) => {
+                let alias = second.and_then(|s| self.aliases.get(&(head.into(), s.into())));
+                match alias {
+                    // `rtped::detect::temporal` → the aliased crate's module.
+                    Some(krate) => self.in_dir(&self.crate_table[krate], rest.get(1).copied()),
+                    None => self.in_dir(&self.crate_table[head], second),
+                }
+            }
+            // A relative path: `detector::Detect` from the crate root.
+            _ => self.child_module(rel, head),
         }
     }
-    None
+
+    /// Resolves an optional module name within a source dir: the module
+    /// file when present, else the dir's `lib.rs`/`main.rs`/`mod.rs`.
+    fn in_dir(&self, dir: &str, second: Option<&str>) -> Option<String> {
+        if let Some(name) = second {
+            let as_file = format!("{dir}/{name}.rs");
+            if self.files.contains(as_file.as_str()) {
+                return Some(as_file);
+            }
+            let as_dir = format!("{dir}/{name}/mod.rs");
+            if self.files.contains(as_dir.as_str()) {
+                return Some(as_dir);
+            }
+        }
+        ["lib.rs", "main.rs", "mod.rs"]
+            .iter()
+            .map(|root| format!("{dir}/{root}"))
+            .find(|candidate| self.files.contains(candidate.as_str()))
+    }
+
+    /// Resolves the child module `name` of `rel` (`mod name;` declared
+    /// there, or a relative path through it) to its file.
+    fn child_module(&self, rel: &str, name: &str) -> Option<String> {
+        let (dir, file) = rel.rsplit_once('/')?;
+        let base = if matches!(file, "lib.rs" | "main.rs" | "mod.rs") {
+            dir.to_string()
+        } else {
+            // `foo.rs` declaring `mod bar;` owns `foo/bar.rs`.
+            format!("{dir}/{}", file.strip_suffix(".rs").unwrap_or(file))
+        };
+        [format!("{base}/{name}.rs"), format!("{base}/{name}/mod.rs")]
+            .into_iter()
+            .find(|candidate| self.files.contains(candidate.as_str()))
+    }
 }
 
 /// The `src` root of the crate `rel` belongs to, if it is library code.
@@ -379,26 +432,6 @@ fn own_crate_root(rel: &str) -> Option<String> {
     }
     if rel.starts_with("src/") {
         return Some("src".to_string());
-    }
-    None
-}
-
-/// Resolves `mod name;` declared in `rel` to the child file.
-fn resolve_child_module(rel: &str, name: &str, files: &BTreeSet<&str>) -> Option<String> {
-    let (dir, file) = rel.rsplit_once('/')?;
-    let base = if matches!(file, "lib.rs" | "main.rs" | "mod.rs") {
-        dir.to_string()
-    } else {
-        // `foo.rs` declaring `mod bar;` owns `foo/bar.rs`.
-        format!("{dir}/{}", file.strip_suffix(".rs").unwrap_or(file))
-    };
-    let as_file = format!("{base}/{name}.rs");
-    if files.contains(as_file.as_str()) {
-        return Some(as_file);
-    }
-    let as_dir = format!("{base}/{name}/mod.rs");
-    if files.contains(as_dir.as_str()) {
-        return Some(as_dir);
     }
     None
 }
@@ -476,6 +509,37 @@ mod tests {
         assert_eq!(
             g.edges["crates/hw/src/lib.rs"][0].to,
             "crates/core/src/env.rs"
+        );
+    }
+
+    #[test]
+    fn relative_and_crate_paths_in_code_create_use_edges() {
+        let files = lex_map(&[
+            (
+                "crates/core/src/lib.rs",
+                "pub mod a;\nfn f() { a::go(); }\n",
+            ),
+            (
+                "crates/core/src/a.rs",
+                "fn g() { crate::b::go(); x::y::z(); }\n",
+            ),
+            ("crates/core/src/b.rs", ""),
+        ]);
+        let g = build(&table(), &files);
+        let kinds = |rel: &str| -> Vec<(String, EdgeKind)> {
+            g.edges[rel]
+                .iter()
+                .map(|e| (e.to.clone(), e.kind))
+                .collect()
+        };
+        let a = "crates/core/src/a.rs".to_string();
+        assert_eq!(
+            kinds("crates/core/src/lib.rs"),
+            vec![(a.clone(), EdgeKind::Mod), (a, EdgeKind::Use)]
+        );
+        assert_eq!(
+            kinds("crates/core/src/a.rs"),
+            vec![("crates/core/src/b.rs".to_string(), EdgeKind::Use)]
         );
     }
 

@@ -14,8 +14,9 @@
 //!   from `use`/`mod` declarations and qualified path heads;
 //! - [`rules`] — the per-file rule engine with suppression pragmas,
 //!   plus the [`arith`] overflow audit;
-//! - [`locks`] and [`taint`] — the cross-cutting rules (lock ordering,
-//!   determinism taint, hash-iteration) that need the whole workspace;
+//! - [`locks`], [`taint`] and [`reach`] — the cross-cutting rules (lock
+//!   ordering, determinism taint, hash-iteration, unreachable modules)
+//!   that need the whole workspace;
 //! - [`walk`] — the deterministic workspace file walker.
 //!
 //! The `rtped-lint` binary ties them into a CI gate that emits
@@ -30,6 +31,7 @@ pub mod arith;
 pub mod graph;
 pub mod lexer;
 pub mod locks;
+pub mod reach;
 pub mod rules;
 pub mod scan;
 pub mod taint;
@@ -188,10 +190,23 @@ pub fn run_filtered(root: &Path, prefix: Option<&str>) -> std::io::Result<Worksp
         analyses.push((rel.clone(), analysis));
     }
 
-    // Cross-cutting pass: module graph, lock nesting, determinism taint.
+    // Cross-cutting pass: module graph, lock nesting, determinism taint,
+    // reachability. The benchmark's sources join the graph as entry points
+    // only; no rule runs on them.
     let rels: Vec<String> = toks_map.keys().cloned().collect();
     let crate_table = graph::crate_roots(root, &rels);
+    let mut entry_only: Vec<String> = Vec::new();
+    for (path, rel) in walk::entry_point_files(root)? {
+        if prefix.is_none_or(|p| rel.starts_with(p)) {
+            let src = std::fs::read_to_string(path)?;
+            toks_map.insert(rel.clone(), lexer::lex(&src, &scan::scan(&src)));
+            entry_only.push(rel);
+        }
+    }
     let module_graph = graph::build(&crate_table, &toks_map);
+    for rel in &entry_only {
+        toks_map.remove(rel);
+    }
     let mut cross: Vec<Violation> = Vec::new();
     let mut lock_edges: BTreeSet<(String, String)> = BTreeSet::new();
     for (rel, toks) in &toks_map {
@@ -199,6 +214,7 @@ pub fn run_filtered(root: &Path, prefix: Option<&str>) -> std::io::Result<Worksp
     }
     locks::check_cycles(&lock_edges, &mut cross);
     taint::check(&module_graph, &toks_map, &tests_map, &mut cross);
+    reach::check(&module_graph, &tests_map, &mut cross);
 
     // Resolution pass: route cross-cutting violations through their
     // anchor file's pragmas, then aggregate.

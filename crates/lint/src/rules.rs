@@ -36,9 +36,12 @@
 //! - `determinism-taint` ([`crate::taint`]) — report-producing modules
 //!   must not reach wall-clock/env/thread-identity sources along the
 //!   use-graph except through the sanctioned facades.
+//! - `unreachable-module` ([`crate::reach`]) — every library module file
+//!   must be reached, along `use`/path edges, from a bin, test, example or
+//!   `perfbench/src` file.
 //!
 //! The per-file rules run over [`crate::lexer`] token streams; the last
-//! four are cross-cutting and are orchestrated by [`crate::run_workspace`]
+//! five are cross-cutting and are orchestrated by [`crate::run_workspace`]
 //! on top of the per-file [`Analysis`] this module produces.
 //!
 //! Suppression: a line comment holding the `rtped-lint` marker, a colon,
@@ -75,6 +78,8 @@ pub const HASH_ITER: &str = "hash-iteration-nondeterminism";
 pub const LOCK_ORDER: &str = "lock-order";
 /// Rule: nondeterminism sources reachable from report producers.
 pub const DET_TAINT: &str = "determinism-taint";
+/// Rule: library module files no entry point reaches.
+pub const UNREACHABLE_MODULE: &str = "unreachable-module";
 
 /// Every suppressible rule name (the pragma parser validates against
 /// this; `suppression-pragma` itself is deliberately not suppressible).
@@ -90,6 +95,7 @@ pub const RULES: &[&str] = &[
     HASH_ITER,
     LOCK_ORDER,
     DET_TAINT,
+    UNREACHABLE_MODULE,
 ];
 
 /// One reported violation.

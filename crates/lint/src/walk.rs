@@ -34,7 +34,23 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
             collect(&top, &mut out)?;
         }
     }
-    let mut out: Vec<(PathBuf, String)> = out
+    Ok(relative_sorted(root, out))
+}
+
+/// The benchmark's sources (`perfbench/src`, a workspace of its own):
+/// entry points for the module graph only, never linted themselves.
+/// Same return shape and ordering as [`workspace_files`].
+pub fn entry_point_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
+    let mut out = Vec::new();
+    let top = root.join("perfbench").join("src");
+    if top.is_dir() {
+        collect(&top, &mut out)?;
+    }
+    Ok(relative_sorted(root, out))
+}
+
+fn relative_sorted(root: &Path, paths: Vec<PathBuf>) -> Vec<(PathBuf, String)> {
+    let mut out: Vec<(PathBuf, String)> = paths
         .into_iter()
         .map(|p| {
             let rel = p
@@ -48,7 +64,7 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
         })
         .collect();
     out.sort_by(|a, b| a.1.cmp(&b.1));
-    Ok(out)
+    out
 }
 
 fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

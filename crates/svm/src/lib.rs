@@ -9,9 +9,6 @@
 //!   of eqs. 4–6.
 //! - [`dcd`]: dual coordinate descent for the L2-regularized L1-loss SVM —
 //!   the same optimizer family LibLinear uses for `-s 3`.
-//! - [`pegasos`]: primal stochastic sub-gradient training (Pegasos), a
-//!   cheaper alternative exercised by the ablation benches.
-//! - [`scale`]: feature standardization helpers.
 //! - [`io`]: JSON persistence mirroring the paper's offline-trained model
 //!   memory.
 //!
@@ -33,14 +30,11 @@
 //! assert!(model.decision(&[-2.0, -1.0]) < 0.0);
 //! ```
 
-pub mod cv;
 pub mod dcd;
 pub mod io;
 pub mod model;
-pub mod pegasos;
 pub mod platt;
 pub mod quant;
-pub mod scale;
 
 pub use model::{Label, LinearSvm};
 pub use quant::QuantModel;

@@ -19,8 +19,8 @@
 //! - [`image`] — grayscale image substrate (containers, PNM I/O, resize,
 //!   drawing, synthetic textures, integral images).
 //! - [`hog`] — HOG feature extraction and the feature/image pyramids.
-//! - [`svm`] — linear SVM training (Pegasos, dual coordinate descent) and
-//!   inference.
+//! - [`svm`] — linear SVM training (dual coordinate descent, the LibLinear
+//!   solver the paper used) and inference.
 //! - [`dataset`] — the seeded synthetic INRIA-protocol dataset.
 //! - [`eval`] — ROC / AUC / EER / confusion-matrix evaluation.
 //! - [`detect`] — multi-scale detectors (conventional image pyramid and the

@@ -8,7 +8,7 @@
 //!   found accuracy-neutral);
 //! - the temporal incremental pyramid is **bit-identical** to a stateless
 //!   full rebuild across randomized frame-diff patterns, for both
-//!   datapaths.
+//!   datapaths, both pyramid levels and window strides 1 and 2.
 
 use rtped::core::{check, check_assert, check_assert_eq};
 use rtped::dataset::scene::SceneBuilder;
@@ -17,6 +17,7 @@ use rtped::detect::detector::{
 };
 use rtped::detect::kernel::{to_f64, F32Kernel};
 use rtped::hog::params::HogParams;
+use rtped::hog::pyramid::FeaturePyramid;
 use rtped::hog::quant::FEATURE_FRAC_BITS;
 use rtped::hog::FeatureMap;
 use rtped::image::GrayImage;
@@ -131,39 +132,47 @@ check! {
 
     fn temporal_f32_is_bit_identical_to_stateless(
         seed in 0u64..=u64::MAX,
+        hpix in 192usize..=224,
+        stride in 1usize..=2,
         x0 in 0usize..120,
-        y0 in 0usize..96,
+        y0 in 0usize..160,
         bw in 4usize..48,
         bh in 4usize..48,
     ) {
-        assert_temporal_sequence(Datapath::F32, seed, x0, y0, bw, bh);
+        assert_temporal_sequence(Datapath::F32, seed, hpix, stride, [x0, y0, bw, bh]);
     }
 
     fn temporal_i16_is_bit_identical_to_stateless(
         seed in 0u64..=u64::MAX,
+        hpix in 192usize..=224,
+        stride in 1usize..=2,
         x0 in 0usize..120,
-        y0 in 0usize..96,
+        y0 in 0usize..160,
         bw in 4usize..48,
         bh in 4usize..48,
     ) {
-        assert_temporal_sequence(Datapath::I16, seed, x0, y0, bw, bh);
+        assert_temporal_sequence(Datapath::I16, seed, hpix, stride, [x0, y0, bw, bh]);
     }
 }
 
 /// Shared body of the temporal properties: a randomized 4-frame sequence
 /// (base, two localized stamps, one near-total rewrite = scene cut) must
-/// produce exactly the stateless detections at every step.
+/// produce exactly the stateless detections at every step. Frames are at
+/// least 192 px tall so the 1.5 level is scanned too: that pins the
+/// resampled incremental path (`source_rows` / `scaled_rows_into`) next to
+/// the identity level, and `stride` pins the dirty-row → window-row
+/// mapping at strides 1 and 2.
 fn assert_temporal_sequence(
     datapath: Datapath,
     seed: u64,
-    x0: usize,
-    y0: usize,
-    bw: usize,
-    bh: usize,
+    hpix: usize,
+    stride: usize,
+    [x0, y0, bw, bh]: [usize; 4],
 ) {
     let model = seeded_model(&HogParams::pedestrian(), seed);
     let config = DetectorConfig {
         datapath,
+        stride_cells: stride,
         ..DetectorConfig::two_scale()
     };
     let stateless = FeaturePyramidDetector::new(model.clone(), config.clone());
@@ -171,23 +180,27 @@ fn assert_temporal_sequence(
         model,
         DetectorConfig {
             temporal: true,
-            ..config
+            ..config.clone()
         },
     );
-    let base = textured(160, 128, (seed % 101) as usize);
+    let base = textured(160, hpix, (seed % 101) as usize);
+    let levels = FeaturePyramid::build(&base, &config.scales, &config.params);
+    assert_eq!(levels.levels().len(), 2, "the 1.5 level must be scanned");
     let frames = [
         base.clone(),
         stamped(&base, x0, y0, bw, bh),
         stamped(&base, y0, x0.min(96), bh, bw),
-        textured(160, 128, (seed % 101) as usize + 1), // scene cut
+        textured(160, hpix, (seed % 101) as usize + 1), // scene cut
     ];
     for (i, frame) in frames.iter().enumerate() {
         assert_eq!(
             temporal.detect(frame),
             stateless.detect(frame),
-            "frame {i} ({datapath}) diverged"
+            "frame {i} ({datapath}, stride {stride}, {hpix} px) diverged"
         );
     }
+    let stats = temporal.temporal_stats().expect("temporal stats");
+    assert!(stats.incremental >= 1, "no incremental frame: {stats:?}");
 }
 
 /// Detection-level agreement on realistic scenes: the i16 detector must
