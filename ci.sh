@@ -53,10 +53,14 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo test -q --offline =="
 cargo test --workspace -q --offline
 
-echo "== miri (best-effort: UB verification of the unsafe par core + wire framing) =="
+echo "== miri (best-effort: UB verification of the unsafe par core, wire framing and i16 scan kernels) =="
 if cargo +nightly miri --version >/dev/null 2>&1; then
     # Hard gate when available: any UB report fails CI.
     cargo +nightly miri test --offline -p rtped-core --lib -- par:: wire::
+    # +avx2 makes the runtime detection true under Miri, so the AVX2
+    # kernel runs there next to the portable one.
+    RUSTFLAGS="-C target-feature=+avx2" \
+        cargo +nightly miri test --offline -p rtped-hog --lib -- quant::
 else
     echo "miri: NOT AVAILABLE in this toolchain — SKIPPING UB verification." >&2
     echo "miri: install with \`rustup component add --toolchain nightly miri\` to enable." >&2

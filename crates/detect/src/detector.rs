@@ -39,10 +39,14 @@ const PAR_MIN_WINDOWS: usize = 8192;
 /// features, `f64` accumulation, bit-identical to [`score_window`].
 /// [`Datapath::I16`] mirrors the paper's fixed-point hardware on the CPU:
 /// Q12 `i16` features against dynamically-scaled `i16` weights with `i32`
-/// row accumulation (see `rtped_hog::quant`) — roughly 4× faster and, the
-/// arithmetic being all-integer, bit-reproducible across hosts and thread
-/// counts. Accuracy sits within the PR-4 quantization-ablation bound of
-/// the float path.
+/// row accumulation, scanned by the 16-bit multiply-add SIMD kernels of
+/// `rtped_hog::quant` (AVX2 where the CPU has it, a portable 16-lane
+/// kernel elsewhere). A whole 640×480 frame takes about a quarter of the
+/// f32 path's time (6.0 vs 22.0 ms, one thread, `bench_detect --quick` on
+/// a 2-vCPU Xeon), and, the arithmetic being all-integer, the result is
+/// bit-reproducible across hosts, kernels and thread counts. Accuracy
+/// sits within the quantization ablation's bound of the float path
+/// (`results_ablation_quantization.txt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Datapath {
     /// Float features, `f64` accumulation (default, golden reference).

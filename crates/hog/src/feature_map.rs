@@ -569,18 +569,84 @@ impl FeatureMap {
         assert_eq!(q.bins(), self.bins, "bin count mismatch");
         assert!(rows.end <= self.cells_y, "cell rows out of bounds");
         let row_len = self.cells_x * self.cell_features();
-        let scale = (1i32 << FEATURE_FRAC_BITS) as f32;
         let src = &self.data[rows.start * row_len..rows.end * row_len];
         let dst = q.rows_mut(rows);
         for (d, &v) in dst.iter_mut().zip(src) {
-            *d = (v * scale).round().clamp(-scale, scale) as i16;
+            *d = quantize_q12(v);
         }
     }
+}
+
+/// One feature's fixed-point value: `round(v · 2^FEATURE_FRAC_BITS)`
+/// (half away from zero) clamped to `±2^FEATURE_FRAC_BITS`, NaN → 0.
+///
+/// Clamps first, then rounds in integer form: for `|c| ≤ 4096` the
+/// fraction `c - trunc(c)` is exact, so this returns
+/// `(v * scale).round().clamp(-scale, scale) as i16` for every `f32`
+/// without the libm `roundf` call `f32::round` is on baseline x86-64.
+#[inline]
+fn quantize_q12(v: f32) -> i16 {
+    let scale = (1i32 << FEATURE_FRAC_BITS) as f32;
+    let c = (v * scale).clamp(-scale, scale);
+    let t = c as i32;
+    let frac = c - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The quantization expression `quantize_q12` replaced.
+    fn quantize_q12_reference(v: f32) -> i16 {
+        let scale = (1i32 << FEATURE_FRAC_BITS) as f32;
+        (v * scale).round().clamp(-scale, scale) as i16
+    }
+
+    #[test]
+    fn quantize_q12_matches_round_then_clamp_at_the_edges() {
+        let scale = (1i32 << FEATURE_FRAC_BITS) as f32;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+        ];
+        // Every half-integer the scaled value can round from, inside and
+        // just past the clamp, with its ±1-ulp neighbours. Dividing by a
+        // power of two is exact, so `v * scale` reproduces them.
+        for k in -4098..=4097 {
+            let half = k as f32 + 0.5;
+            for c in [half.next_down(), half, half.next_up()] {
+                values.push(c / scale);
+            }
+        }
+        for v in values {
+            assert_eq!(
+                quantize_q12(v),
+                quantize_q12_reference(v),
+                "v = {v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
+    }
+
+    rtped_core::check! {
+        #![cases = 512]
+        fn quantize_q12_matches_round_then_clamp(bits in 0..=u32::MAX, x in -1.5..1.5f32) {
+            let v = f32::from_bits(bits);
+            rtped_core::check_assert_eq!(quantize_q12(v), quantize_q12_reference(v));
+            rtped_core::check_assert_eq!(quantize_q12(x), quantize_q12_reference(x));
+        }
+    }
 
     fn textured(w: usize, h: usize) -> GrayImage {
         GrayImage::from_fn(w, h, |x, y| ((x * 13 + y * 29 + (x * y) % 17) % 256) as u8)

@@ -19,6 +19,22 @@
 //! `QuantModel`'s scale selection), so one window row's dot product fits
 //! an `i32` without wrapping; rows are then reduced in `i64`, which has
 //! headroom for billions of rows.
+//!
+//! ## Kernels
+//!
+//! `score_window_row` runs one of two row kernels, chosen per call:
+//!
+//! - an AVX2 kernel (`vpmaddwd` + `vpaddd`, 16 terms per step) when
+//!   `is_x86_feature_detected!("avx2")` holds;
+//! - otherwise a portable kernel: 16 lane-wise `i32` accumulators over
+//!   fixed-width chunks, which LLVM vectorizes for the baseline target
+//!   (SSE2 on x86-64; aarch64 takes this kernel too).
+//!
+//! Both finish with a scalar tail, so any row length works. Every lane
+//! and every `vpmaddwd` pair adds a subset of one row's terms, and the
+//! contract bounds the whole row's `Σ|w|·|v|` below `2^31`, so no partial
+//! sum wraps: both kernels return the bits of the plain scalar loop kept
+//! as the golden kernel in this module's tests.
 
 use std::ops::Range;
 
@@ -32,8 +48,8 @@ pub const FEATURE_FRAC_BITS: u32 = 12;
 /// Cell-major `i16` feature plane — the quantized twin of `FeatureMap`,
 /// with the identical layout
 /// `data[(cy * cells_x + cx) * 4 * bins + role * bins + bin]`
-/// so the scoring kernel's inner loop is a contiguous, stride-1 dot
-/// product that rustc autovectorizes.
+/// so each window row the scoring kernel reads is one contiguous,
+/// stride-1 `i16` dot product (see the module's kernels).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantFeatureMap {
     cells_x: usize,
@@ -101,9 +117,10 @@ impl QuantFeatureMap {
     /// is written to `out[col]`.
     ///
     /// Each window row is a contiguous `wc * 4 * bins`-term i16 dot
-    /// product accumulated in `i32` — exact under the module's overflow
-    /// contract — and rows reduce in `i64`. Being all-integer, the result
-    /// is identical for any band split or thread count.
+    /// product accumulated in `i32` lanes by the AVX2 or the portable
+    /// kernel — exact under the module's overflow contract — and rows
+    /// reduce in `i64`. Being all-integer, the result is identical for any
+    /// kernel, host, band split or thread count.
     ///
     /// # Panics
     ///
@@ -120,33 +137,139 @@ impl QuantFeatureMap {
         stride: usize,
         out: &mut [i64],
     ) {
-        let f = self.cell_features();
-        let row_len = wc * f;
+        let row_len = wc * self.cell_features();
         assert_eq!(weights.len(), hc * row_len, "weight length mismatch");
         assert!(out.len() >= cols, "output buffer too short");
         assert!(cy + hc <= self.cells_y, "window rows out of bounds");
-        let gx = self.cells_x;
         assert!(
-            cols == 0 || (cols - 1) * stride + wc <= gx,
+            cols == 0 || (cols - 1) * stride + wc <= self.cells_x,
             "window columns out of bounds"
         );
-        for (col, o) in out.iter_mut().take(cols).enumerate() {
-            let cx = col * stride;
-            let mut total: i64 = 0;
-            for dy in 0..hc {
-                let base = ((cy + dy) * gx + cx) * f;
-                let frow = &self.data[base..base + row_len];
-                let wrow = &weights[dy * row_len..(dy + 1) * row_len];
-                let mut acc: i32 = 0;
-                for (&w, &v) in wrow.iter().zip(frow) {
-                    // rtped-lint: allow(unchecked-arith-in-fixed-datapath, "DESIGN.md §13: the weight fraction shift is chosen so one window row's dot product fits i32 for any representable Q12 inputs; keeping the bare MAC preserves autovectorization of the hot loop")
-                    acc += i32::from(w) * i32::from(v);
-                }
-                total = total.wrapping_add(i64::from(acc));
+        let out = &mut out[..cols];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `is_x86_feature_detected!` just confirmed AVX2 on
+            // this CPU, which is the only requirement of the
+            // `#[target_feature]` function; its slicing stays inside the
+            // bounds asserted above.
+            unsafe { self.scan_avx2(weights, wc, hc, cy, stride, out) };
+            return;
+        }
+        self.scan(weights, wc, hc, cy, stride, out, dot_row);
+    }
+
+    /// The window walk shared by both kernels: `dot` is one window row's
+    /// `wc * 4 * bins`-term dot product, and each window's rows add up in
+    /// `i64`. Weight rows go outermost, so one weight row and one feature
+    /// row stay in L1 while every window of the row reads them. Callers
+    /// have asserted the window bounds.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // as `score_window_row`, plus the row kernel
+    fn scan(
+        &self,
+        weights: &[i16],
+        wc: usize,
+        hc: usize,
+        cy: usize,
+        stride: usize,
+        out: &mut [i64],
+        dot: impl Fn(&[i16], &[i16]) -> i32,
+    ) {
+        let f = self.cell_features();
+        let row_len = wc * f;
+        let feature_row = self.cells_x * f;
+        out.fill(0);
+        for dy in 0..hc {
+            let wrow = &weights[dy * row_len..(dy + 1) * row_len];
+            let base = (cy + dy) * feature_row;
+            let frows = &self.data[base..base + feature_row];
+            for (col, o) in out.iter_mut().enumerate() {
+                let start = col * stride * f;
+                let frow = &frows[start..start + row_len];
+                *o = o.wrapping_add(i64::from(dot(wrow, frow)));
             }
-            *o = total;
         }
     }
+
+    /// [`Self::scan`] with the AVX2 row kernel inlined. Calling it from
+    /// code without AVX2 enabled is `unsafe`: the caller must have
+    /// detected AVX2 at run time.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn scan_avx2(
+        &self,
+        weights: &[i16],
+        wc: usize,
+        hc: usize,
+        cy: usize,
+        stride: usize,
+        out: &mut [i64],
+    ) {
+        self.scan(weights, wc, hc, cy, stride, out, |w, v| dot_row_avx2(w, v));
+    }
+}
+
+/// SIMD width of the row kernels, in `i16` terms (one 256-bit register).
+const LANES: usize = 16;
+
+/// One multiply-accumulate of the row kernels. The wrapping forms are
+/// exact under the module's overflow contract: every lane or pair sum
+/// adds a subset of one window row's terms, and the contract bounds the
+/// sum of `|w|·|v|` over the whole row below `2^31`. Outside the contract
+/// the two kernels still agree, since wrapping addition is associative.
+#[inline(always)]
+fn mac(acc: i32, (&w, &v): (&i16, &i16)) -> i32 {
+    acc.wrapping_add(i32::from(w).wrapping_mul(i32::from(v)))
+}
+
+/// Portable row kernel: `LANES` lane-wise `i32` accumulators over
+/// fixed-width chunks (a shape LLVM vectorizes on any target), then a
+/// scalar tail for row lengths that are not a multiple of `LANES`.
+#[inline(always)]
+fn dot_row(w: &[i16], v: &[i16]) -> i32 {
+    let (wc, vc) = (w.chunks_exact(LANES), v.chunks_exact(LANES));
+    let tail = wc.remainder().iter().zip(vc.remainder()).fold(0, mac);
+    let mut lanes = [0i32; LANES];
+    for (w16, v16) in wc.zip(vc) {
+        for (l, wv) in lanes.iter_mut().zip(w16.iter().zip(v16)) {
+            *l = mac(*l, wv);
+        }
+    }
+    lanes.iter().fold(tail, |s, &l| s.wrapping_add(l))
+}
+
+/// AVX2 row kernel: `vpmaddwd` multiplies 16 `i16` pairs and adds
+/// adjacent products into 8 `i32` lanes; `vpaddd` accumulates them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_row_avx2(w: &[i16], v: &[i16]) -> i32 {
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_extracti128_si256,
+        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256, _mm_add_epi32,
+        _mm_cvtsi128_si32, _mm_shuffle_epi32,
+    };
+    let (wc, vc) = (w.chunks_exact(LANES), v.chunks_exact(LANES));
+    let tail = wc.remainder().iter().zip(vc.remainder()).fold(0, mac);
+    let mut acc = _mm256_setzero_si256();
+    for (w16, v16) in wc.zip(vc) {
+        // SAFETY: each chunk holds exactly `LANES` i16s, i.e. the 32 bytes
+        // one unaligned 256-bit load reads; AVX2 is enabled on this
+        // function and was runtime-detected by its only caller.
+        let (a, b) = unsafe {
+            (
+                _mm256_loadu_si256(w16.as_ptr().cast::<__m256i>()),
+                _mm256_loadu_si256(v16.as_ptr().cast::<__m256i>()),
+            )
+        };
+        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
+    }
+    let s = _mm_add_epi32(
+        _mm256_castsi256_si128(acc),
+        _mm256_extracti128_si256::<1>(acc),
+    );
+    let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
+    let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b10_11_00_01>(s));
+    _mm_cvtsi128_si32(s).wrapping_add(tail)
 }
 
 #[cfg(test)]
@@ -196,6 +319,138 @@ mod tests {
                 }
             }
             assert_eq!(got, want, "column {col}");
+        }
+    }
+
+    /// The pre-SIMD scalar loop, kept as the golden kernel. Plain `+=`
+    /// and `*`, so a debug build panics if any input overflows `i32`.
+    #[allow(clippy::too_many_arguments)]
+    fn golden(
+        q: &QuantFeatureMap,
+        weights: &[i16],
+        wc: usize,
+        hc: usize,
+        cy: usize,
+        cols: usize,
+        stride: usize,
+        out: &mut [i64],
+    ) {
+        let f = q.cell_features();
+        let row_len = wc * f;
+        let gx = q.cells_x;
+        for (col, o) in out.iter_mut().take(cols).enumerate() {
+            let cx = col * stride;
+            let mut total: i64 = 0;
+            for dy in 0..hc {
+                let base = ((cy + dy) * gx + cx) * f;
+                let frow = &q.data[base..base + row_len];
+                let wrow = &weights[dy * row_len..(dy + 1) * row_len];
+                let mut acc: i32 = 0;
+                for (&w, &v) in wrow.iter().zip(frow) {
+                    acc += i32::from(w) * i32::from(v);
+                }
+                total = total.wrapping_add(i64::from(acc));
+            }
+            *o = total;
+        }
+    }
+
+    /// `QuantModel`'s weight bound for `row_len`-term rows.
+    fn weight_limit(row_len: usize) -> i16 {
+        let bound = i64::from(i32::MAX) / ((1i64 << FEATURE_FRAC_BITS) * row_len as i64);
+        bound.min(i64::from(i16::MAX)) as i16
+    }
+
+    /// Asserts that the portable kernel, the AVX2 kernel (when this CPU
+    /// has AVX2) and the dispatching entry point all return the golden
+    /// kernel's scores for every window of row `cy`, and returns them.
+    fn assert_kernels_match_golden(
+        q: &QuantFeatureMap,
+        weights: &[i16],
+        (wc, hc, cy, cols, stride): (usize, usize, usize, usize, usize),
+    ) -> Vec<i64> {
+        let mut want = vec![0i64; cols];
+        golden(q, weights, wc, hc, cy, cols, stride, &mut want);
+        let mut got = vec![0i64; cols];
+        q.scan(weights, wc, hc, cy, stride, &mut got, dot_row);
+        assert_eq!(got, want, "portable kernel");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            got.fill(0);
+            // SAFETY: AVX2 was detected just above; the geometry is the
+            // one the golden kernel just scanned in bounds.
+            unsafe { q.scan_avx2(weights, wc, hc, cy, stride, &mut got) };
+            assert_eq!(got, want, "AVX2 kernel");
+        }
+        got.fill(0);
+        q.score_window_row(weights, wc, hc, cy, cols, stride, &mut got);
+        assert_eq!(got, want, "dispatched kernel");
+        want
+    }
+
+    rtped_core::check! {
+        #![cases = 96]
+        fn kernels_are_bit_identical_to_golden(
+            bins in rtped_core::check::choice(vec![4usize, 6, 9]),
+            wc in 1..=10usize,
+            hc in 1..=10usize,
+            stride in 1..=3usize,
+            cols in 0..=5usize,
+            seed in 0..u64::MAX,
+        ) {
+            use rtped_core::rng::{Rng, SeedRng};
+            let mut rng = SeedRng::seed_from_u64(seed);
+            let cy = rng.gen_range(0..=2usize);
+            let cells_x = cols.saturating_sub(1) * stride + wc + rng.gen_range(0..=2usize);
+            let cells_y = hc + cy + rng.gen_range(0..=1usize);
+            let mut q = QuantFeatureMap::new(cells_x, cells_y, bins);
+            let fmax: i16 = 1 << FEATURE_FRAC_BITS;
+            let wmax = weight_limit(wc * 4 * bins);
+            // A quarter of the terms sit at the contract's extremes.
+            let mut draw = |m: i16| match rng.gen_range(0..8u32) {
+                0 => m,
+                1 => -m,
+                _ => rng.gen_range(-m..=m),
+            };
+            for v in q.rows_mut(0..cells_y) {
+                *v = draw(fmax);
+            }
+            let weights: Vec<i16> = (0..hc * wc * 4 * bins).map(|_| draw(wmax)).collect();
+            assert_kernels_match_golden(&q, &weights, (wc, hc, cy, cols, stride));
+        }
+    }
+
+    #[test]
+    fn kernels_match_golden_at_the_contract_extremes() {
+        // Features at ±4096 and weights at ±limit, signed so every product
+        // has the same sign: |row dot| = limit · 4096 · row_len, the
+        // largest the overflow contract admits.
+        let fmax: i16 = 1 << FEATURE_FRAC_BITS;
+        for bins in [4, 6, 9] {
+            for wc in 1..=10 {
+                let (hc, cols) = (3, 4);
+                let mut q = QuantFeatureMap::new(cols + wc - 1, hc, bins);
+                let wmax = weight_limit(wc * 4 * bins);
+                for (i, v) in q.rows_mut(0..hc).iter_mut().enumerate() {
+                    *v = if i % 3 == 0 { -fmax } else { fmax };
+                }
+                for sign in [1, -1] {
+                    // Window column 0 sees the same sign pattern as the
+                    // weights; the other columns sit at shifted phases.
+                    let weights: Vec<i16> = (0..hc * wc * 4 * bins)
+                        .map(|i| {
+                            let row = i / (wc * 4 * bins);
+                            let v =
+                                q.as_raw()[row * (cols + wc - 1) * 4 * bins + i % (wc * 4 * bins)];
+                            sign * v.signum() * wmax
+                        })
+                        .collect();
+                    let out = assert_kernels_match_golden(&q, &weights, (wc, hc, 0, cols, 1));
+                    let row_max = i64::from(wmax) * i64::from(fmax) * (wc * 4 * bins) as i64;
+                    assert_eq!(out[0], i64::from(sign) * row_max * hc as i64);
+                    assert!(row_max <= i64::from(i32::MAX));
+                }
+            }
         }
     }
 
