@@ -53,6 +53,10 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo test -q --offline =="
 cargo test --workspace -q --offline
 
+echo "== extraction bands at odd and serial thread counts (bit identity across the band split) =="
+RTPED_THREADS=1 cargo test --release --offline -p rtped-hog --lib -q -- grid:: feature_map::
+RTPED_THREADS=3 cargo test --release --offline -p rtped-hog --lib -q -- grid:: feature_map::
+
 echo "== miri (best-effort: UB verification of the unsafe par core, wire framing and i16 scan kernels) =="
 if cargo +nightly miri --version >/dev/null 2>&1; then
     # Hard gate when available: any UB report fails CI.

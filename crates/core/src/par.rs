@@ -48,9 +48,10 @@ use std::any::Any;
 use std::fmt;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::thread::ScopedJoinHandle;
 
 /// Environment variable overriding the worker-pool size.
 pub const THREADS_ENV: &str = "RTPED_THREADS";
@@ -235,13 +236,14 @@ fn parallel_try_map<T: Sync, R: Send>(
     let completed: Mutex<Vec<Range<usize>>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let next = &next;
             let stop = &stop;
             let first_panic = &first_panic;
             let completed = &completed;
             let f = &f;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     let start = next.fetch_add(claim, Ordering::Relaxed);
                     if start >= n {
@@ -293,8 +295,9 @@ fn parallel_try_map<T: Sync, R: Send>(
                         break;
                     }
                 }
-            });
+            }));
         }
+        join_all(workers);
     });
 
     match first_panic
@@ -381,21 +384,39 @@ pub fn for_each_band<T: Send>(data: &mut [T], band_len: usize, f: impl Fn(usize,
     // perfectly good (and fully safe) work queue.
     let queue = Mutex::new(data.chunks_mut(band_len).enumerate());
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let queue = &queue;
             let f = &f;
-            scope.spawn(move || loop {
+            handles.push(scope.spawn(move || loop {
                 // A panic in a sibling's `f` poisons the queue; recover the
-                // guard so the survivors drain cleanly and the scope can
-                // propagate the original panic instead of a poisoned-lock one.
+                // guard so the survivors drain cleanly and the original
+                // panic propagates instead of a poisoned-lock one.
                 let item = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                 match item {
                     Some((b, band)) => f(b * band_len, band),
                     None => break,
                 }
-            });
+            }));
         }
+        join_all(handles);
     });
+}
+
+/// Joins every worker of a scope before the scope ends, re-raising a
+/// worker's panic with its original payload.
+///
+/// `thread::scope` on its own returns as soon as the closures finish,
+/// before the OS threads have exited and handed their malloc arenas back.
+/// A parallel region started right after would then get fresh arenas, and
+/// peak RSS grows with every region. Joining waits for the exit, so the
+/// next region reuses the arenas.
+fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) {
+    for handle in handles {
+        if let Err(payload) = handle.join() {
+            resume_unwind(payload);
+        }
+    }
 }
 
 /// Runs `f(0), f(1), ..., f(workers - 1)` on one scoped thread each and
@@ -587,6 +608,22 @@ mod tests {
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i * 7);
         }
+    }
+
+    #[test]
+    fn for_each_band_repanics_with_original_payload() {
+        // Joined workers re-raise the band's own payload, not the scope's
+        // generic "a scoped thread panicked".
+        let mut data = vec![0u32; 4096];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            for_each_band(&mut data, 64, |start, _| {
+                if start == 1024 {
+                    panic!("band at {start} failed");
+                }
+            });
+        }))
+        .expect_err("for_each_band must re-panic");
+        assert_eq!(payload_message(caught.as_ref()), "band at 1024 failed");
     }
 
     #[test]

@@ -35,34 +35,37 @@ impl NormKind {
     /// All schemes are scale-covariant up to the epsilon regularizer and
     /// leave an all-zero vector all-zero.
     pub fn normalize(&self, v: &mut [f32]) {
+        self.normalize_lanes(v.as_chunks_mut::<1>().0);
+    }
+
+    /// Normalizes `L` vectors at once: `v[k][lane]` is element `k` of
+    /// vector `lane`.
+    ///
+    /// Every lane runs exactly the arithmetic of [`NormKind::normalize`]
+    /// (which is this function with one lane): the same sequential sums in
+    /// the same order, so each lane's result is bit-identical to
+    /// normalizing that vector alone. What changes is that the `L` add
+    /// chains run side by side in packed registers instead of one after
+    /// another.
+    pub(crate) fn normalize_lanes<const L: usize>(&self, v: &mut [[f32; L]]) {
         match *self {
             NormKind::L1 { epsilon } => {
-                let norm: f32 = v.iter().map(|x| x.abs()).sum::<f32>() + epsilon;
-                for x in v.iter_mut() {
-                    *x /= norm;
-                }
+                let norm = lane_sums(v, f32::abs).map(|s| s + epsilon);
+                lane_map(v, norm, |x, n| x / n);
             }
             NormKind::L1Sqrt { epsilon } => {
-                let norm: f32 = v.iter().map(|x| x.abs()).sum::<f32>() + epsilon;
-                for x in v.iter_mut() {
-                    *x = (*x / norm).max(0.0).sqrt();
-                }
+                let norm = lane_sums(v, f32::abs).map(|s| s + epsilon);
+                lane_map(v, norm, |x, n| (x / n).max(0.0).sqrt());
             }
             NormKind::L2 { epsilon } => {
-                let norm = (v.iter().map(|x| x * x).sum::<f32>() + epsilon * epsilon).sqrt();
-                for x in v.iter_mut() {
-                    *x /= norm;
-                }
+                let norm = lane_sums(v, |x| x * x).map(|s| (s + epsilon * epsilon).sqrt());
+                lane_map(v, norm, |x, n| x / n);
             }
             NormKind::L2Hys { epsilon, clip } => {
-                let norm = (v.iter().map(|x| x * x).sum::<f32>() + epsilon * epsilon).sqrt();
-                for x in v.iter_mut() {
-                    *x = (*x / norm).min(clip);
-                }
-                let norm2 = (v.iter().map(|x| x * x).sum::<f32>() + epsilon * epsilon).sqrt();
-                for x in v.iter_mut() {
-                    *x /= norm2;
-                }
+                let norm = lane_sums(v, |x| x * x).map(|s| (s + epsilon * epsilon).sqrt());
+                lane_map(v, norm, |x, n| (x / n).min(clip));
+                let norm2 = lane_sums(v, |x| x * x).map(|s| (s + epsilon * epsilon).sqrt());
+                lane_map(v, norm2, |x, n| x / n);
             }
         }
     }
@@ -73,6 +76,27 @@ impl NormKind {
         let mut out = v.to_vec();
         self.normalize(&mut out);
         out
+    }
+}
+
+/// Per-lane left fold of `term(x)` over the elements, in element order —
+/// the order of `v.iter().map(term).sum::<f32>()` on one vector.
+fn lane_sums<const L: usize>(v: &[[f32; L]], term: impl Fn(f32) -> f32) -> [f32; L] {
+    let mut acc = [-0.0f32; L];
+    for x in v {
+        for l in 0..L {
+            acc[l] += term(x[l]);
+        }
+    }
+    acc
+}
+
+/// Replaces every element `x` of lane `l` with `f(x, norm[l])`.
+fn lane_map<const L: usize>(v: &mut [[f32; L]], norm: [f32; L], f: impl Fn(f32, f32) -> f32) {
+    for x in v {
+        for l in 0..L {
+            x[l] = f(x[l], norm[l]);
+        }
     }
 }
 
@@ -118,6 +142,76 @@ mod tests {
 
     fn l2(v: &[f32]) -> f32 {
         v.iter().map(|x| x * x).sum::<f32>().sqrt()
+    }
+
+    /// The one-vector-at-a-time bodies `normalize` ran before the lanes.
+    fn normalize_reference(kind: NormKind, v: &mut [f32]) {
+        match kind {
+            NormKind::L1 { epsilon } => {
+                let norm: f32 = v.iter().map(|x| x.abs()).sum::<f32>() + epsilon;
+                for x in v.iter_mut() {
+                    *x /= norm;
+                }
+            }
+            NormKind::L1Sqrt { epsilon } => {
+                let norm: f32 = v.iter().map(|x| x.abs()).sum::<f32>() + epsilon;
+                for x in v.iter_mut() {
+                    *x = (*x / norm).max(0.0).sqrt();
+                }
+            }
+            NormKind::L2 { epsilon } => {
+                let norm = (v.iter().map(|x| x * x).sum::<f32>() + epsilon * epsilon).sqrt();
+                for x in v.iter_mut() {
+                    *x /= norm;
+                }
+            }
+            NormKind::L2Hys { epsilon, clip } => {
+                let norm = (v.iter().map(|x| x * x).sum::<f32>() + epsilon * epsilon).sqrt();
+                for x in v.iter_mut() {
+                    *x = (*x / norm).min(clip);
+                }
+                let norm2 = (v.iter().map(|x| x * x).sum::<f32>() + epsilon * epsilon).sqrt();
+                for x in v.iter_mut() {
+                    *x /= norm2;
+                }
+            }
+        }
+    }
+
+    rtped_core::check! {
+        #![cases = 256]
+        fn lanes_match_one_vector_at_a_time(
+            values in rtped_core::check::vec_of(-2.0f32..60.0, 8 * 36),
+            zeros in rtped_core::check::vec_of(0usize..8, 0..=3),
+            kind in rtped_core::check::choice(vec![
+                NormKind::L1 { epsilon: 1e-2 },
+                NormKind::L1Sqrt { epsilon: 1e-2 },
+                NormKind::L2 { epsilon: 1e-2 },
+                NormKind::default(),
+            ]),
+        ) {
+            // Lane l holds values[l*36..]; the lanes in `zeros` are all
+            // zero (empty blocks), the rest are clipped at zero in places.
+            let vector = |l: usize| -> Vec<f32> {
+                let v = &values[l * 36..(l + 1) * 36];
+                v.iter().map(|&x| if zeros.contains(&l) { 0.0 } else { x.max(0.0) }).collect()
+            };
+            let vectors: Vec<Vec<f32>> = (0..8).map(vector).collect();
+            let mut lanes: Vec<[f32; 8]> =
+                (0..36).map(|k| std::array::from_fn(|l| vectors[l][k])).collect();
+            kind.normalize_lanes(&mut lanes);
+            for l in 0..8 {
+                let mut want = vector(l);
+                normalize_reference(kind, &mut want);
+                let mut one = vector(l);
+                kind.normalize(&mut one);
+                let got: Vec<u32> = lanes.iter().map(|x| x[l].to_bits()).collect();
+                let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+                let one: Vec<u32> = one.iter().map(|x| x.to_bits()).collect();
+                rtped_core::check_assert_eq!(&got, &want, "lane {}", l);
+                rtped_core::check_assert_eq!(&one, &want);
+            }
+        }
     }
 
     fn sample() -> Vec<f32> {

@@ -15,7 +15,8 @@ use std::ops::Range;
 use rtped_core::par;
 use rtped_image::GrayImage;
 
-use crate::grid::CellGrid;
+use crate::block::NormKind;
+use crate::grid::{self, CellGrid};
 use crate::params::HogParams;
 use crate::quant::{QuantFeatureMap, FEATURE_FRAC_BITS};
 
@@ -138,7 +139,9 @@ impl FeatureMap {
     ///
     /// Blocks are `2×2` cells regardless of `params.block_cells()` — the
     /// cell-major layout is defined for the canonical block geometry the
-    /// hardware implements.
+    /// hardware implements. Cell-row bands are normalized in parallel
+    /// above the extraction cut-off (see [`FeatureMap::update_rows`]), with
+    /// output identical for any thread count.
     ///
     /// # Panics
     ///
@@ -151,70 +154,14 @@ impl FeatureMap {
             "feature map needs at least 2x2 cells"
         );
         let bins = grid.bins();
-        let norm = params.norm();
-        let mut data = vec![0.0f32; cells_x * cells_y * 4 * bins];
-
-        // Normalize each physical block once, then scatter its four
-        // normalized cells into their role slots — each interior (cell,
-        // role) slot references exactly one block, so this writes the same
-        // values as normalizing per slot at a quarter of the cost.
-        let max_bx = cells_x - 2;
-        let max_by = cells_y - 2;
-        let mut block = vec![0.0f32; 4 * bins];
-        for by in 0..=max_by {
-            for bx in 0..=max_bx {
-                // Gather the 2x2 block (cells in row-major order).
-                for (ci, (ox, oy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
-                    let h = grid.histogram(bx + ox, by + oy);
-                    block[ci * bins..(ci + 1) * bins].copy_from_slice(h);
-                }
-                norm.normalize(&mut block);
-                // Quadrant (qx, qy) belongs to cell (bx+qx, by+qy) in role
-                // qy*2+qx (the role whose block offset is (-qx, -qy)).
-                for qy in 0..2 {
-                    for qx in 0..2 {
-                        let quadrant = qy * 2 + qx;
-                        let dst = (((by + qy) * cells_x + (bx + qx)) * 4 + quadrant) * bins;
-                        data[dst..dst + bins]
-                            .copy_from_slice(&block[quadrant * bins..(quadrant + 1) * bins]);
-                    }
-                }
-            }
-        }
-
-        // Edge cells miss some covering blocks; their role slots clamp to
-        // the nearest valid block, whose normalized quadrant was already
-        // scattered to an interior slot — copy it from there. (The source
-        // slot is never itself clamped, so ordering is immaterial.)
-        for cy in 0..cells_y {
-            for cx in 0..cells_x {
-                if cx > 0 && cx < cells_x - 1 && cy > 0 && cy < cells_y - 1 {
-                    continue;
-                }
-                for role in CellRole::ALL {
-                    let (dx, dy) = role.block_offset();
-                    let ubx = cx as isize + dx;
-                    let uby = cy as isize + dy;
-                    let bx = ubx.clamp(0, max_bx as isize) as usize;
-                    let by = uby.clamp(0, max_by as isize) as usize;
-                    if ubx == bx as isize && uby == by as isize {
-                        continue; // unclamped: the scatter already filled it
-                    }
-                    let qx = (cx as isize - bx as isize).clamp(0, 1) as usize;
-                    let qy = (cy as isize - by as isize).clamp(0, 1) as usize;
-                    let src = (((by + qy) * cells_x + (bx + qx)) * 4 + (qy * 2 + qx)) * bins;
-                    let dst = ((cy * cells_x + cx) * 4 + role.index()) * bins;
-                    data.copy_within(src..src + bins, dst);
-                }
-            }
-        }
-
-        Self {
+        let mut map = Self {
             cells_x,
             cells_y,
             bins,
-            data,
-        }
+            data: vec![0.0f32; cells_x * cells_y * 4 * bins],
+        };
+        map.update_rows(grid, params, 0..cells_y);
+        map
     }
 
     /// Recomputes the normalized features of cell rows `rows` in place from
@@ -223,42 +170,34 @@ impl FeatureMap {
     /// A cell row's features depend only on histogram rows `cy - 1 ..=
     /// cy + 1` (clamped), so callers that know which histogram rows changed
     /// can refresh exactly the affected feature rows and obtain a map
-    /// bit-identical to a full [`FeatureMap::from_cell_grid`].
+    /// bit-identical to a full [`FeatureMap::from_cell_grid`] — which is
+    /// this call over every row.
     ///
     /// # Panics
     ///
     /// Panics if the grid does not match this map's dimensions or `rows`
     /// is out of bounds.
     pub fn update_rows(&mut self, grid: &CellGrid, params: &HogParams, rows: Range<usize>) {
+        let per_band = grid::rows_per_band(rows.len(), self.cells_x);
+        self.normalize_banded(grid, params.norm(), rows, per_band);
+    }
+
+    /// Normalizes cell rows `rows` in bands of `per_band` rows.
+    fn normalize_banded(
+        &mut self,
+        grid: &CellGrid,
+        norm: NormKind,
+        rows: Range<usize>,
+        per_band: usize,
+    ) {
         assert_eq!(grid.cells(), (self.cells_x, self.cells_y), "grid mismatch");
         assert_eq!(grid.bins(), self.bins, "bin count mismatch");
         assert!(rows.end <= self.cells_y, "cell rows out of bounds");
-        let cells_x = self.cells_x;
-        let bins = self.bins;
-        let norm = params.norm();
-        let max_bx = cells_x - 2;
-        let max_by = self.cells_y - 2;
-        let mut block = vec![0.0f32; 4 * bins];
-        for cy in rows {
-            for cx in 0..cells_x {
-                for role in CellRole::ALL {
-                    let (dx, dy) = role.block_offset();
-                    let bx = (cx as isize + dx).clamp(0, max_bx as isize) as usize;
-                    let by = (cy as isize + dy).clamp(0, max_by as isize) as usize;
-                    for (ci, (ox, oy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
-                        let h = grid.histogram(bx + ox, by + oy);
-                        block[ci * bins..(ci + 1) * bins].copy_from_slice(h);
-                    }
-                    norm.normalize(&mut block);
-                    let qx = (cx as isize - bx as isize).clamp(0, 1) as usize;
-                    let qy = (cy as isize - by as isize).clamp(0, 1) as usize;
-                    let quadrant = qy * 2 + qx;
-                    let src = &block[quadrant * bins..(quadrant + 1) * bins];
-                    let dst_base = ((cy * cells_x + cx) * 4 + role.index()) * bins;
-                    self.data[dst_base..dst_base + bins].copy_from_slice(src);
-                }
-            }
-        }
+        let row_len = self.cells_x * self.cell_features();
+        let span = &mut self.data[rows.start * row_len..rows.end * row_len];
+        grid::for_each_row_band(span, row_len, rows.start, per_band, |band_rows, band| {
+            normalize_rows(grid, norm, band_rows, band);
+        });
     }
 
     /// Grid size `(cells_x, cells_y)`.
@@ -570,9 +509,110 @@ impl FeatureMap {
         assert!(rows.end <= self.cells_y, "cell rows out of bounds");
         let row_len = self.cells_x * self.cell_features();
         let src = &self.data[rows.start * row_len..rows.end * row_len];
-        let dst = q.rows_mut(rows);
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = quantize_q12(v);
+        let per_band = grid::rows_per_band(rows.len(), self.cells_x);
+        let first = rows.start;
+        grid::for_each_row_band(
+            q.rows_mut(rows),
+            row_len,
+            first,
+            per_band,
+            |band_rows, band| {
+                let offset = (band_rows.start - first) * row_len;
+                for (d, &v) in band.iter_mut().zip(&src[offset..]) {
+                    *d = quantize_q12(v);
+                }
+            },
+        );
+    }
+}
+
+/// Blocks of one block row normalized side by side (see
+/// [`NormKind::normalize_lanes`]): their sequential norm sums then overlap
+/// instead of running one after another.
+const BLOCK_LANES: usize = 8;
+
+/// Writes the normalized features of cell rows `rows` into `out` (exactly
+/// those rows).
+///
+/// Each physical 2×2 block is normalized once and its four quadrants go to
+/// the role slots that reference it: quadrant `(qx, qy)` of block
+/// `(bx, by)` is cell `(bx + qx, by + qy)` in role `qy * 2 + qx`. The
+/// blocks with a quadrant in `rows` are block rows `rows.start - 1 ..=
+/// rows.end - 1` (clamped to the valid ones); only quadrants landing in
+/// `rows` are written. Edge cells miss some covering blocks; their role
+/// slots clamp to the nearest valid block, whose quadrant for that cell
+/// always lies in the cell's own row, so they are copied within `out`.
+fn normalize_rows(grid: &CellGrid, norm: NormKind, rows: Range<usize>, out: &mut [f32]) {
+    let (cells_x, cells_y) = grid.cells();
+    let bins = grid.bins();
+    let f = 4 * bins;
+    let row_len = cells_x * f;
+    let max_bx = cells_x - 2;
+    let max_by = cells_y - 2;
+    let hist = grid.as_raw();
+    // Element k of block bx0 + l lives in blocks[k][l].
+    let mut blocks = vec![[0.0f32; BLOCK_LANES]; f];
+    for by in rows.start.saturating_sub(1)..=(rows.end - 1).min(max_by) {
+        for bx0 in (0..=max_bx).step_by(BLOCK_LANES) {
+            let lanes = BLOCK_LANES.min(max_bx + 1 - bx0);
+            // Gather each 2x2 block (cells in row-major order). Lanes past
+            // `lanes` keep stale values whose results are never read.
+            for (ci, (ox, oy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
+                for l in 0..lanes {
+                    let src = ((by + oy) * cells_x + bx0 + l + ox) * bins;
+                    for (dst, &x) in blocks[ci * bins..(ci + 1) * bins]
+                        .iter_mut()
+                        .zip(&hist[src..])
+                    {
+                        dst[l] = x;
+                    }
+                }
+            }
+            norm.normalize_lanes(&mut blocks);
+            for qy in 0..2 {
+                let cy = by + qy;
+                if !rows.contains(&cy) {
+                    continue;
+                }
+                for l in 0..lanes {
+                    for qx in 0..2 {
+                        let quadrant = qy * 2 + qx;
+                        let dst =
+                            (cy - rows.start) * row_len + (bx0 + l + qx) * f + quadrant * bins;
+                        let src = &blocks[quadrant * bins..(quadrant + 1) * bins];
+                        for (d, x) in out[dst..dst + bins].iter_mut().zip(src) {
+                            *d = x[l];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Clamped role slots copy the quadrant the nearest valid block holds
+    // for this cell. That source slot is never itself clamped, so the
+    // order of the copies is immaterial.
+    for (cy, row) in rows.zip(out.chunks_exact_mut(row_len)) {
+        for cx in 0..cells_x {
+            if cx > 0 && cx < cells_x - 1 && cy > 0 && cy < cells_y - 1 {
+                continue;
+            }
+            for role in CellRole::ALL {
+                let (dx, dy) = role.block_offset();
+                let ubx = cx as isize + dx;
+                let uby = cy as isize + dy;
+                let bx = ubx.clamp(0, max_bx as isize) as usize;
+                let by = uby.clamp(0, max_by as isize) as usize;
+                if ubx == bx as isize && uby == by as isize {
+                    continue; // unclamped: the block pass filled it
+                }
+                let qx = (cx as isize - bx as isize).clamp(0, 1) as usize;
+                let qy = (cy as isize - by as isize).clamp(0, 1) as usize;
+                debug_assert_eq!(by + qy, cy, "clamped source lies in the cell's row");
+                let src = (bx + qx) * f + (qy * 2 + qx) * bins;
+                let dst = cx * f + role.index() * bins;
+                row.copy_within(src..src + bins, dst);
+            }
         }
     }
 }
@@ -580,17 +620,25 @@ impl FeatureMap {
 /// One feature's fixed-point value: `round(v · 2^FEATURE_FRAC_BITS)`
 /// (half away from zero) clamped to `±2^FEATURE_FRAC_BITS`, NaN → 0.
 ///
-/// Clamps first, then rounds in integer form: for `|c| ≤ 4096` the
-/// fraction `c - trunc(c)` is exact, so this returns
-/// `(v * scale).round().clamp(-scale, scale) as i16` for every `f32`
+/// Clamps first, then rounds without a float → int cast, so the loop over
+/// a map compiles to packed SSE2 (a saturating `as i32` per element kept
+/// it scalar, 2.4× slower). Adding `1.5 · 2^23` rounds `|c| ≤ 4096` to
+/// the nearest integer, ties to even (the sum's spacing is 1 and the
+/// constant is even), and leaves that integer in the low mantissa bits;
+/// `d = c - rne(c)` is exact, and a tie (`|d| = 0.5`) that went toward
+/// zero is moved one away. So this returns
+/// `(v * scale).round().clamp(-scale, scale) as i16` for every `f32`,
 /// without the libm `roundf` call `f32::round` is on baseline x86-64.
 #[inline]
 fn quantize_q12(v: f32) -> i16 {
+    const ROUNDER: f32 = 12_582_912.0;
     let scale = (1i32 << FEATURE_FRAC_BITS) as f32;
     let c = (v * scale).clamp(-scale, scale);
-    let t = c as i32;
-    let frac = c - t as f32;
-    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16
+    let c = if c.is_nan() { 0.0 } else { c };
+    let s = c + ROUNDER;
+    let n = s.to_bits() as i32 - ROUNDER.to_bits() as i32;
+    let d = c - (s - ROUNDER);
+    (n + i32::from(d == 0.5 && c > 0.0) - i32::from(d == -0.5 && c < 0.0)) as i16
 }
 
 #[cfg(test)]
@@ -645,6 +693,102 @@ mod tests {
             let v = f32::from_bits(bits);
             rtped_core::check_assert_eq!(quantize_q12(v), quantize_q12_reference(v));
             rtped_core::check_assert_eq!(quantize_q12(x), quantize_q12_reference(x));
+        }
+    }
+
+    /// The scatter loop `from_cell_grid` ran before normalization was
+    /// split into cell-row bands: every block normalized once, its
+    /// quadrants scattered, then the clamped edge slots copied.
+    fn from_cell_grid_scatter_reference(grid: &CellGrid, params: &HogParams) -> FeatureMap {
+        let (cells_x, cells_y) = grid.cells();
+        let bins = grid.bins();
+        let norm = params.norm();
+        let mut data = vec![0.0f32; cells_x * cells_y * 4 * bins];
+        let max_bx = cells_x - 2;
+        let max_by = cells_y - 2;
+        let mut block = vec![0.0f32; 4 * bins];
+        for by in 0..=max_by {
+            for bx in 0..=max_bx {
+                for (ci, (ox, oy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
+                    let h = grid.histogram(bx + ox, by + oy);
+                    block[ci * bins..(ci + 1) * bins].copy_from_slice(h);
+                }
+                norm.normalize(&mut block);
+                for qy in 0..2 {
+                    for qx in 0..2 {
+                        let quadrant = qy * 2 + qx;
+                        let dst = (((by + qy) * cells_x + (bx + qx)) * 4 + quadrant) * bins;
+                        data[dst..dst + bins]
+                            .copy_from_slice(&block[quadrant * bins..(quadrant + 1) * bins]);
+                    }
+                }
+            }
+        }
+        for cy in 0..cells_y {
+            for cx in 0..cells_x {
+                if cx > 0 && cx < cells_x - 1 && cy > 0 && cy < cells_y - 1 {
+                    continue;
+                }
+                for role in CellRole::ALL {
+                    let (dx, dy) = role.block_offset();
+                    let ubx = cx as isize + dx;
+                    let uby = cy as isize + dy;
+                    let bx = ubx.clamp(0, max_bx as isize) as usize;
+                    let by = uby.clamp(0, max_by as isize) as usize;
+                    if ubx == bx as isize && uby == by as isize {
+                        continue;
+                    }
+                    let qx = (cx as isize - bx as isize).clamp(0, 1) as usize;
+                    let qy = (cy as isize - by as isize).clamp(0, 1) as usize;
+                    let src = (((by + qy) * cells_x + (bx + qx)) * 4 + (qy * 2 + qx)) * bins;
+                    let dst = ((cy * cells_x + cx) * 4 + role.index()) * bins;
+                    data.copy_within(src..src + bins, dst);
+                }
+            }
+        }
+        FeatureMap::from_raw(cells_x, cells_y, bins, data)
+    }
+
+    rtped_core::check! {
+        #![cases = 12]
+        fn banded_normalization_and_quantization_match_references(
+            big in rtped_core::check::boolean(),
+            extra_w in 0usize..1000,
+            extra_h in 0usize..1000,
+            geometry in rtped_core::check::choice(vec![(9usize, false), (7, false), (9, true), (7, true)]),
+            seed in 0u64..1_000_000,
+            per_band in 1usize..40,
+            cuts in rtped_core::check::vec_of(0usize..1000, 0..4),
+        ) {
+            let (w, h) = grid::test_dims(big, extra_w, extra_h);
+            let (bins, signed) = geometry;
+            let p = HogParams::builder().bins(bins).signed(signed).build().unwrap();
+            let grid = CellGrid::compute(&grid::test_frame(w, h, seed), &p);
+            let other = CellGrid::compute(&grid::test_frame(w, h, seed + 1), &p);
+            let (_, cells_y) = grid.cells();
+            let reference = from_cell_grid_scatter_reference(&grid, &p);
+            // Banded at the pool's own split.
+            let map = FeatureMap::from_cell_grid(&grid, &p);
+            rtped_core::check_assert_eq!(&map, &reference);
+            // Banded at an explicit split, whatever the thread count.
+            let mut patched = FeatureMap::from_cell_grid(&other, &p);
+            patched.normalize_banded(&grid, p.norm(), 0..cells_y, per_band);
+            rtped_core::check_assert_eq!(&patched, &reference);
+            // Row ranges refreshed in any order converge on the full build.
+            let mut patched = FeatureMap::from_cell_grid(&other, &p);
+            let parts = grid::test_partition(cells_y, &cuts);
+            for rows in parts.iter().rev() {
+                patched.update_rows(&grid, &p, rows.clone());
+            }
+            rtped_core::check_assert_eq!(&patched, &reference);
+            // Quantization is elementwise, whole or by row ranges.
+            let want: Vec<i16> = map.as_raw().iter().map(|&v| quantize_q12(v)).collect();
+            rtped_core::check_assert_eq!(map.quantized().as_raw(), want.as_slice());
+            let mut q = FeatureMap::from_cell_grid(&other, &p).quantized();
+            for rows in parts {
+                map.quantize_rows_into(&mut q, rows);
+            }
+            rtped_core::check_assert_eq!(q.as_raw(), want.as_slice());
         }
     }
 
@@ -850,8 +994,8 @@ mod tests {
 
     #[test]
     fn update_rows_matches_scatter_build() {
-        // The scatter-based from_cell_grid and the per-slot update_rows
-        // path must produce identical bits — the temporal cache mixes them.
+        // Row-ranged refreshes must produce the bits of a full build — the
+        // temporal cache mixes them.
         let p = HogParams::pedestrian();
         let img_a = textured(96, 96);
         let img_b = GrayImage::from_fn(96, 96, |x, y| ((x * 31 + y * 3 + 7) % 256) as u8);

@@ -25,7 +25,7 @@ pub(crate) struct GradLut {
 impl GradLut {
     /// Table index for the integer difference pair `(fx, fy)`.
     #[inline]
-    pub(crate) fn index(fx: i32, fy: i32) -> usize {
+    pub(crate) const fn index(fx: i32, fy: i32) -> usize {
         ((fy + 255) * GRAD_LUT_SPAN as i32 + (fx + 255)) as usize
     }
 
@@ -34,16 +34,60 @@ impl GradLut {
         let mut ang = vec![0.0f32; GRAD_LUT_SPAN * GRAD_LUT_SPAN];
         for fy in -255i32..=255 {
             for fx in -255i32..=255 {
-                // Exactly the scalar path's arithmetic: integer-valued f32
-                // inputs through the same sqrt/atan2/fold expressions.
-                let fxf = fx as f32;
-                let fyf = fy as f32;
                 let idx = Self::index(fx, fy);
-                mag[idx] = (fxf * fxf + fyf * fyf).sqrt();
-                ang[idx] = fold_angle(fyf.atan2(fxf), signed);
+                (mag[idx], ang[idx]) = magnitude_orientation(fx, fy, signed);
             }
         }
         GradLut { mag, ang }
+    }
+}
+
+/// Magnitude and folded orientation of the integer difference pair
+/// `(fx, fy)`: exactly the scalar path's arithmetic, integer-valued `f32`
+/// inputs through the same `sqrt`/`atan2`/[`fold_angle`] expressions.
+/// Every gradient table is built from this one function.
+pub(crate) fn magnitude_orientation(fx: i32, fy: i32, signed: bool) -> (f32, f32) {
+    let fxf = fx as f32;
+    let fyf = fy as f32;
+    (
+        (fxf * fxf + fyf * fyf).sqrt(),
+        fold_angle(fyf.atan2(fxf), signed),
+    )
+}
+
+/// The gradient-table index of a zero gradient (`fx == fy == 0`), the one
+/// pixel class that casts no vote.
+pub(crate) const ZERO_GRADIENT: u32 = GradLut::index(0, 0) as u32;
+
+/// Writes the gradient-table index ([`GradLut::index`]) of every pixel of
+/// row `y` of the `w × h` image `raw` into `out[..w]`.
+///
+/// Centered differences clamp at the image border. The two border columns
+/// are handled once here, so the interior loop carries no per-pixel
+/// `saturating_sub`/`min` and compiles to packed integer arithmetic.
+pub(crate) fn row_indices(raw: &[u8], w: usize, h: usize, y: usize, out: &mut [u32]) {
+    let row = &raw[y * w..(y + 1) * w];
+    let up = &raw[y.saturating_sub(1) * w..][..w];
+    let dn = &raw[(h - 1).min(y + 1) * w..][..w];
+    let out = &mut out[..w];
+    let index = |fx: i32, x: usize| {
+        let fy = i32::from(dn[x]) - i32::from(up[x]);
+        GradLut::index(fx, fy) as u32
+    };
+    if w == 1 {
+        out[0] = index(0, 0);
+        return;
+    }
+    out[0] = index(i32::from(row[1]) - i32::from(row[0]), 0);
+    out[w - 1] = index(i32::from(row[w - 1]) - i32::from(row[w - 2]), w - 1);
+    let interior = out[1..w - 1]
+        .iter_mut()
+        .zip(row[2..].iter().zip(&row[..w - 2]))
+        .zip(dn[1..].iter().zip(&up[1..]));
+    for ((o, (&r, &l)), (&d, &u)) in interior {
+        let fx = i32::from(r) - i32::from(l);
+        let fy = i32::from(d) - i32::from(u);
+        *o = GradLut::index(fx, fy) as u32;
     }
 }
 
@@ -127,19 +171,15 @@ impl GradientField {
         let raw = img.as_raw();
         let mut magnitude = vec![0.0f32; w * h];
         let mut orientation = vec![0.0f32; w * h];
-        for y in 0..h {
-            let row = &raw[y * w..(y + 1) * w];
-            let up = &raw[y.saturating_sub(1) * w..][..w];
-            let dn = &raw[(h - 1).min(y + 1) * w..][..w];
-            let base = y * w;
-            for x in 0..w {
-                let xl = x.saturating_sub(1);
-                let xr = (x + 1).min(w - 1);
-                let fx = i32::from(row[xr]) - i32::from(row[xl]);
-                let fy = i32::from(dn[x]) - i32::from(up[x]);
-                let e = GradLut::index(fx, fy);
-                magnitude[base + x] = lut.mag[e];
-                orientation[base + x] = lut.ang[e];
+        let mut idx = vec![0u32; w];
+        let rows = magnitude
+            .chunks_exact_mut(w)
+            .zip(orientation.chunks_exact_mut(w));
+        for (y, (mag_row, ang_row)) in rows.enumerate() {
+            row_indices(raw, w, h, y, &mut idx);
+            for ((m, a), &e) in mag_row.iter_mut().zip(ang_row.iter_mut()).zip(&idx) {
+                *m = lut.mag[e as usize];
+                *a = lut.ang[e as usize];
             }
         }
         Self {

@@ -1,55 +1,194 @@
 //! The cell-histogram plane of a whole image.
+//!
+//! # Row pass
+//!
+//! Without spatial interpolation, gradient and voting are fused into one
+//! pass per pixel row: [`gradient::row_indices`] turns the row into
+//! gradient-table indices (border columns handled once, interior loop
+//! branch-free), then the row is walked one cell at a time and each pixel
+//! adds its two bin votes. A cell still receives its votes row-major within
+//! the cell, so every `f32` sum is accumulated in the same order as in
+//! [`CellGrid::from_gradients`].
+//!
+//! # The packed vote table
+//!
+//! For the canonical geometry (9 unsigned bins) the votes come from one
+//! table of 12-byte [`Vote`] entries indexed by the difference pair: both
+//! target bins and both pre-multiplied weights, so one load per pixel
+//! replaces the magnitude, two factors and two bin loads. Pre-multiplying
+//! is exact: [`cell::split_vote`] returns `mag * (1.0 - frac)` and
+//! `mag * frac`, and the table stores exactly those IEEE products for the
+//! entry's own `mag` — the values a per-pixel `split_vote` call would add.
+//! The table is built straight from the `sqrt`/`atan2`/`fold_angle`
+//! expressions, not from the gradient table, so only 3 MB stay resident.
+//!
+//! # Cell-row bands
+//!
+//! Each cell's histogram depends only on its own pixels (and their ±1
+//! neighbours), so disjoint cell-row bands are voted on separate workers
+//! with identical results. The normalization and quantization passes in
+//! `feature_map` use the same split ([`for_each_row_band`]). Planes below
+//! [`PAR_MIN_CELLS`] stay on the calling thread.
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
+use rtped_core::par;
 use rtped_image::GrayImage;
 
 use crate::cell;
-use crate::gradient::{grad_lut, GradLut, GradientField, GRAD_LUT_SPAN};
+use crate::gradient::{self, grad_lut, GradLut, GradientField, GRAD_LUT_SPAN, ZERO_GRADIENT};
 use crate::params::HogParams;
 
-/// Precomputed bilinear bin-vote split for the canonical unsigned 9-bin
-/// geometry, indexed like [`GradLut`] by the integer difference pair.
-///
-/// For each `(fx, fy)` it stores the two target bins and the per-bin weight
-/// factors of a unit vote, derived from the LUT angle through the identical
-/// [`cell::split_vote`] arithmetic — so `mag * one_minus_frac[e]` and
-/// `mag * frac[e]` reproduce `split_vote(angle, mag, ..)` bit-for-bit.
-struct VoteLut {
-    lo: Vec<u8>,
-    hi: Vec<u8>,
-    one_minus_frac: Vec<f32>,
-    frac: Vec<f32>,
+/// Extraction planes (cell histograms, block normalization, Q12
+/// quantization) with fewer cells than this are filled on the calling
+/// thread. 2^13 cells is 2^19 pixels at the canonical 8-pixel cell, so
+/// 720p (14,400 cells) and up are split and VGA (4,800 cells) is not. On a
+/// 2-vCPU host two threads ran each layer 1.2–1.8× faster than one at 720p
+/// and 1080p, but 0.8–1.1× at VGA, where the serving daemon's workers
+/// already share the cores and a split costs peak RSS (measurements in
+/// `CHANGES.md`).
+pub(crate) const PAR_MIN_CELLS: usize = 1 << 13;
+
+/// Bands per worker above the cut-off: enough to balance uneven rows, few
+/// enough that normalization's one-block-row halo per band stays cheap.
+const BANDS_PER_THREAD: usize = 2;
+
+/// Cell rows per band when `rows` cell rows of `cells_x` cells are filled:
+/// all of them below [`PAR_MIN_CELLS`], else about [`BANDS_PER_THREAD`]
+/// bands per worker.
+pub(crate) fn rows_per_band(rows: usize, cells_x: usize) -> usize {
+    if rows * cells_x < PAR_MIN_CELLS {
+        return rows.max(1);
+    }
+    rows.div_ceil(par::threads() * BANDS_PER_THREAD).max(1)
 }
 
-impl VoteLut {
-    fn build(bin_width: f32) -> VoteLut {
-        let ang = &grad_lut(false).ang;
-        let n = GRAD_LUT_SPAN * GRAD_LUT_SPAN;
-        let mut lut = VoteLut {
-            lo: vec![0u8; n],
-            hi: vec![0u8; n],
-            one_minus_frac: vec![0.0f32; n],
-            frac: vec![0.0f32; n],
-        };
-        for (e, &angle) in ang.iter().enumerate().take(n) {
-            // A unit-magnitude split: `1.0 * x == x` exactly in IEEE 754,
-            // so the returned weights are the bare vote factors.
-            let ((a, wa), (b, wb)) = cell::split_vote(angle, 1.0, 9, bin_width);
-            lut.lo[e] = a as u8;
-            lut.hi[e] = b as u8;
-            lut.one_minus_frac[e] = wa;
-            lut.frac[e] = wb;
+/// Fills `out` — cell rows `first_row..` of a plane whose rows are
+/// `row_len` values long — in disjoint bands of `rows_per_band` rows:
+/// `fill(band_rows, band)` writes exactly those rows.
+pub(crate) fn for_each_row_band<T: Send>(
+    out: &mut [T],
+    row_len: usize,
+    first_row: usize,
+    rows_per_band: usize,
+    fill: impl Fn(Range<usize>, &mut [T]) + Sync,
+) {
+    par::for_each_band(out, rows_per_band * row_len, |start, band| {
+        let r0 = first_row + start / row_len;
+        fill(r0..r0 + band.len() / row_len, band);
+    });
+}
+
+/// One pre-multiplied bin vote: `w_lo` goes to bin `lo`, `w_hi` to `hi`.
+#[derive(Debug, Clone, Copy)]
+struct Vote {
+    w_lo: f32,
+    w_hi: f32,
+    lo: u8,
+    hi: u8,
+}
+
+/// The process-wide vote table for the canonical geometry (9 unsigned
+/// bins), indexed like [`GradLut`] by the difference pair.
+fn vote_table(bin_width: f32) -> &'static [Vote] {
+    static TABLE: OnceLock<Vec<Vote>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = Vec::with_capacity(GRAD_LUT_SPAN * GRAD_LUT_SPAN);
+        // Push order is GradLut::index order: fy major, fx minor.
+        for fy in -255i32..=255 {
+            for fx in -255i32..=255 {
+                let (mag, angle) = gradient::magnitude_orientation(fx, fy, false);
+                let ((lo, w_lo), (hi, w_hi)) = cell::split_vote(angle, mag, 9, bin_width);
+                table.push(Vote {
+                    w_lo,
+                    w_hi,
+                    lo: lo as u8,
+                    hi: hi as u8,
+                });
+            }
         }
-        lut
+        table
+    })
+}
+
+/// How a pixel's gradient-table index becomes its bin votes.
+#[derive(Clone, Copy)]
+enum Voter {
+    /// The packed table of the canonical geometry.
+    Table(&'static [Vote]),
+    /// Any other geometry: magnitude and angle from the gradient table,
+    /// split per pixel.
+    Split {
+        lut: &'static GradLut,
+        bin_width: f32,
+    },
+}
+
+impl Voter {
+    fn new(params: &HogParams) -> Self {
+        if !params.signed() && params.bins() == 9 {
+            Voter::Table(vote_table(params.bin_width()))
+        } else {
+            Voter::Split {
+                lut: grad_lut(params.signed()),
+                bin_width: params.bin_width(),
+            }
+        }
     }
 }
 
-/// The process-wide vote table for the canonical geometry.
-fn vote_lut(bin_width: f32) -> &'static VoteLut {
-    static LUT: OnceLock<VoteLut> = OnceLock::new();
-    LUT.get_or_init(|| VoteLut::build(bin_width))
+/// Fused gradient + vote of cell rows `rows` (of `cells_x` cells of
+/// `cs × cs` pixels) into `out`, exactly those rows' histograms
+/// (overwritten). Per cell, pixels are visited row-major within the cell
+/// and zero-gradient pixels are skipped, as in [`CellGrid::from_gradients`].
+fn vote_rows(
+    img: &GrayImage,
+    voter: Voter,
+    cs: usize,
+    cells_x: usize,
+    bins: usize,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    let (w, h) = img.dimensions();
+    let raw = img.as_raw();
+    let covered = cells_x * cs;
+    let mut idx = vec![0u32; w];
+    for (cy, hists) in rows.zip(out.chunks_exact_mut(cells_x * bins)) {
+        hists.fill(0.0);
+        for py in cy * cs..(cy + 1) * cs {
+            gradient::row_indices(raw, w, h, py, &mut idx);
+            let cells = hists
+                .chunks_exact_mut(bins)
+                .zip(idx[..covered].chunks_exact(cs));
+            match voter {
+                Voter::Table(table) => {
+                    for (hist, pixels) in cells {
+                        for &e in pixels {
+                            if e == ZERO_GRADIENT {
+                                continue;
+                            }
+                            let v = table[e as usize];
+                            hist[usize::from(v.lo)] += v.w_lo;
+                            hist[usize::from(v.hi)] += v.w_hi;
+                        }
+                    }
+                }
+                Voter::Split { lut, bin_width } => {
+                    for (hist, pixels) in cells {
+                        for &e in pixels {
+                            if e == ZERO_GRADIENT {
+                                continue;
+                            }
+                            let e = e as usize;
+                            cell::vote(hist, lut.ang[e], lut.mag[e], bin_width);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Un-normalized orientation histograms for every cell of an image.
@@ -81,12 +220,12 @@ impl CellGrid {
     /// Computes cell histograms for `img` under `params`.
     ///
     /// Without spatial interpolation the gradient and voting stages are
-    /// fused: differences are looked up in the gradient table and votes are
-    /// accumulated straight into the owning cell, skipping the intermediate
-    /// magnitude/orientation planes entirely. The result is bit-identical
-    /// to `from_gradients(&GradientField::compute(img, ..), ..)` because
-    /// the per-cell pixel visiting order and every float expression are
-    /// unchanged.
+    /// fused into one row pass (see the module docs), skipping the
+    /// intermediate magnitude/orientation planes entirely. The result is
+    /// bit-identical to `from_gradients(&GradientField::compute(img, ..), ..)`
+    /// because the per-cell pixel visiting order and every float expression
+    /// are unchanged. Cell-row bands are filled in parallel above
+    /// [`PAR_MIN_CELLS`], with output identical for any thread count.
     ///
     /// # Panics
     ///
@@ -111,7 +250,7 @@ impl CellGrid {
             bins,
             data: vec![0.0f32; cells_x * cells_y * bins],
         };
-        grid.vote_rows(img, params, 0..cells_y);
+        grid.vote_banded(img, params, 0..cells_y, rows_per_band(cells_y, cells_x));
         grid
     }
 
@@ -141,52 +280,25 @@ impl CellGrid {
             "image does not match grid dimensions"
         );
         assert!(rows.end <= self.cells_y, "cell rows out of bounds");
-        let span = rows.start * self.cells_x * self.bins..rows.end * self.cells_x * self.bins;
-        self.data[span].fill(0.0);
-        self.vote_rows(img, params, rows);
+        let per_band = rows_per_band(rows.len(), self.cells_x);
+        self.vote_banded(img, params, rows, per_band);
     }
 
-    /// Fused gradient + vote over the given cell rows. Accumulation order
-    /// matches `from_gradients` exactly: per cell `(cy, cx)`, pixels are
-    /// visited row-major within the cell and zero-gradient pixels are
-    /// skipped (`mag == 0.0` iff `fx == fy == 0`).
-    fn vote_rows(&mut self, img: &GrayImage, params: &HogParams, rows: Range<usize>) {
-        let cs = params.cell_size();
-        let bins = self.bins;
-        let bin_width = params.bin_width();
-        let lut = grad_lut(params.signed());
-        let canonical = !params.signed() && bins == 9;
-        let vlut = canonical.then(|| vote_lut(bin_width));
-        let raw = img.as_raw();
-        let (w, h) = img.dimensions();
-        for cy in rows {
-            for cx in 0..self.cells_x {
-                let base = (cy * self.cells_x + cx) * bins;
-                for py in cy * cs..(cy + 1) * cs {
-                    let row = &raw[py * w..(py + 1) * w];
-                    let up = &raw[py.saturating_sub(1) * w..][..w];
-                    let dn = &raw[(h - 1).min(py + 1) * w..][..w];
-                    for px in cx * cs..(cx + 1) * cs {
-                        let xl = px.saturating_sub(1);
-                        let xr = (px + 1).min(w - 1);
-                        let fx = i32::from(row[xr]) - i32::from(row[xl]);
-                        let fy = i32::from(dn[px]) - i32::from(up[px]);
-                        if fx == 0 && fy == 0 {
-                            continue;
-                        }
-                        let e = GradLut::index(fx, fy);
-                        let mag = lut.mag[e];
-                        let hist = &mut self.data[base..base + bins];
-                        if let Some(v) = vlut {
-                            hist[usize::from(v.lo[e])] += mag * v.one_minus_frac[e];
-                            hist[usize::from(v.hi[e])] += mag * v.frac[e];
-                        } else {
-                            cell::vote(hist, lut.ang[e], mag, bin_width);
-                        }
-                    }
-                }
-            }
-        }
+    /// Votes cell rows `rows` in bands of `per_band` rows.
+    fn vote_banded(
+        &mut self,
+        img: &GrayImage,
+        params: &HogParams,
+        rows: Range<usize>,
+        per_band: usize,
+    ) {
+        let (voter, cs) = (Voter::new(params), params.cell_size());
+        let (cells_x, bins) = (self.cells_x, self.bins);
+        let row_len = cells_x * bins;
+        let span = &mut self.data[rows.start * row_len..rows.end * row_len];
+        for_each_row_band(span, row_len, rows.start, per_band, |band_rows, band| {
+            vote_rows(img, voter, cs, cells_x, bins, band_rows, band);
+        });
     }
 
     /// Computes cell histograms from a precomputed gradient field
@@ -328,6 +440,43 @@ impl CellGrid {
     }
 }
 
+/// Test frames for the band properties: random noise with flat patches
+/// (zero gradients) and 0/255 stripes (the table's extreme differences).
+#[cfg(test)]
+pub(crate) fn test_frame(w: usize, h: usize, seed: u64) -> GrayImage {
+    use rtped_core::rng::{Rng, SeedRng};
+    let mut rng = SeedRng::seed_from_u64(seed);
+    GrayImage::from_fn(w, h, |x, y| match (x / 11 + y / 7) % 4 {
+        0 => 90,
+        1 => [0, 255][(x + y) % 2],
+        _ => rng.next_u32() as u8,
+    })
+}
+
+/// Test frame dimensions: small ones, or ones with at least
+/// [`PAR_MIN_CELLS`] cells (`big`), widths not always a multiple of 8.
+#[cfg(test)]
+pub(crate) fn test_dims(big: bool, extra_w: usize, extra_h: usize) -> (usize, usize) {
+    if big {
+        let w = 1024 + extra_w % 400;
+        let rows = PAR_MIN_CELLS.div_ceil(w / 8) + extra_h % 8;
+        (w, rows * 8 + extra_h % 8)
+    } else {
+        (16 + extra_w % 300, 16 + extra_h % 200)
+    }
+}
+
+/// Splits `0..n` at the cut points `cuts` (taken modulo `n + 1`) into
+/// contiguous non-empty ranges covering it.
+#[cfg(test)]
+pub(crate) fn test_partition(n: usize, cuts: &[usize]) -> Vec<Range<usize>> {
+    let mut points: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+    points.extend([0, n]);
+    points.sort_unstable();
+    points.dedup();
+    points.windows(2).map(|p| p[0]..p[1]).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,6 +575,68 @@ mod tests {
             let field = GradientField::compute(&img, p.signed());
             let reference = CellGrid::from_gradients(&field, &p);
             assert_eq!(fused, reference, "bins={bins} signed={signed}");
+        }
+    }
+
+    /// Cell histograms by definition, one pixel at a time: clamped
+    /// centered differences, `sqrt`/`atan2`, and a split vote per pixel,
+    /// row-major within each cell. Shares no code with the row pass.
+    fn scalar_votes(img: &GrayImage, p: &HogParams) -> CellGrid {
+        let cs = p.cell_size();
+        let (cells_x, cells_y) = (img.width() / cs, img.height() / cs);
+        let bins = p.bins();
+        let mut data = vec![0.0f32; cells_x * cells_y * bins];
+        for cy in 0..cells_y {
+            for cx in 0..cells_x {
+                let hist = &mut data[(cy * cells_x + cx) * bins..][..bins];
+                for py in cy * cs..(cy + 1) * cs {
+                    for px in cx * cs..(cx + 1) * cs {
+                        let (fx, fy) = GradientField::central_difference(img, px, py);
+                        let mag = (fx * fx + fy * fy).sqrt();
+                        if mag == 0.0 {
+                            continue;
+                        }
+                        let angle = crate::gradient::fold_angle(fy.atan2(fx), p.signed());
+                        cell::vote(hist, angle, mag, p.bin_width());
+                    }
+                }
+            }
+        }
+        CellGrid::from_raw(cells_x, cells_y, bins, data)
+    }
+
+    rtped_core::check! {
+        #![cases = 12]
+        fn banded_votes_match_the_gradient_path(
+            big in rtped_core::check::boolean(),
+            extra_w in 0usize..1000,
+            extra_h in 0usize..1000,
+            geometry in rtped_core::check::choice(vec![(9usize, false), (7, false), (9, true), (7, true)]),
+            seed in 0u64..1_000_000,
+            per_band in 1usize..40,
+            cuts in rtped_core::check::vec_of(0usize..1000, 0..4),
+        ) {
+            let (w, h) = test_dims(big, extra_w, extra_h);
+            let (bins, signed) = geometry;
+            let p = HogParams::builder().bins(bins).signed(signed).build().unwrap();
+            let img = test_frame(w, h, seed);
+            let other = test_frame(w, h, seed + 1);
+            let reference = scalar_votes(&img, &p);
+            let field = GradientField::compute(&img, signed);
+            rtped_core::check_assert_eq!(&CellGrid::from_gradients(&field, &p), &reference);
+            // Banded at the pool's own split.
+            rtped_core::check_assert_eq!(&CellGrid::compute(&img, &p), &reference);
+            // Banded at an explicit split, whatever the thread count.
+            let mut grid = CellGrid::compute(&other, &p);
+            let (_, cells_y) = grid.cells();
+            grid.vote_banded(&img, &p, 0..cells_y, per_band);
+            rtped_core::check_assert_eq!(&grid, &reference);
+            // Row ranges recomputed in any order converge on the full compute.
+            let mut grid = CellGrid::compute(&other, &p);
+            for rows in test_partition(cells_y, &cuts).into_iter().rev() {
+                grid.recompute_rows(&img, &p, rows);
+            }
+            rtped_core::check_assert_eq!(&grid, &reference);
         }
     }
 
